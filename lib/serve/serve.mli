@@ -1,43 +1,54 @@
 (** Batched inference serving over a simulated DIANA fleet.
 
-    A {!run} loads one compiled {!Htvm.Compile.artifact} and drives a
-    fleet of [workers] independent simulated SoC instances through a
-    seeded synthetic request stream. The serving loop is a discrete-event
+    One engine, two front ends. {!run} serves one compiled
+    {!Htvm.Compile.artifact}; {!mt_run} serves a registry of artifacts
+    behind request classes. Both drive a fleet of independent simulated
+    SoC instances through a seeded request stream, and both hand their
+    differences to the same private engine as data: {!run} is the engine
+    with one model, one class that never sheds on its SLO, every
+    instance pinned to that model, plus the fault plan, memoization,
+    one-way degradation and the predicted health plane; {!mt_run} is the
+    engine with none of those extras. The engine is a discrete-event
     simulation in {e simulated cycles}:
 
     - {b Arrivals.} Requests carry a per-request input seed and an
-      arrival time, both drawn from one {!Util.Rng} stream seeded by
-      [seed]. {!Closed} is the saturating load generator (every request
-      backlogged at cycle 0, the standard throughput experiment);
-      {!Poisson} is the open-loop experiment with exponential
-      inter-arrival gaps.
-    - {b Admission.} In Poisson mode the ingress buffer holds at most
+      arrival time, both drawn from one {!Util.Rng} stream seeded by the
+      config seed (or replayed from a trace). {!Closed} is the saturating
+      load generator (every request backlogged at cycle 0, the standard
+      throughput experiment); {!Poisson} is the open-loop experiment
+      with exponential inter-arrival gaps.
+    - {b Admission.} In open-loop modes the ingress buffer holds at most
       [queue_depth] requests per dispatch window; requests arriving into
-      a full window are shed with a typed {!Rejected} outcome. Admission
-      is a pure function of the arrival stream, so the shed set does not
-      depend on the fleet size. Closed mode never sheds (the generator
-      only offers what it wants served).
-    - {b Batching.} Each window's admitted requests are chunked into
-      batches of at most [max_batch]; a batch costs one
-      [dispatch_overhead] on top of its requests' service cycles, so
-      batching amortizes dispatch cost at the price of queueing delay.
-    - {b Routing.} A batch goes to the earliest-free instance that is
-      healthy at dispatch time (lowest id on ties). Instances whose
-      fault sessions have reported at least [degrade_after] faults are
-      marked degraded at the completion cycle of the offending batch and
-      routed around from then on; if every instance is degraded the
-      router fails open and keeps dispatching (degraded beats down).
-      With a [health] lifecycle configured, the one-way degraded flag is
-      replaced by a per-instance {!Health.t} state machine: degraded
-      instances re-enter probation after a (relapse-escalated) cooldown,
-      run seeded probes that cost cycles on the probed instance, and are
-      {e readmitted} to the rotation after enough consecutive passes.
-    - {b Execution.} Every request runs on a fresh simulated machine
-      (its own memories and counters) under its {e own} fault session —
-      the campaign seed is derived from the plan seed and the request
-      id — so a request's output digest, service cycles and fault
+      a full window are shed with a typed outcome ({!Rejected},
+      {!Mt_shed_queue}). Admission is a pure function of the arrival
+      stream, so the shed set does not depend on the fleet size. Closed
+      mode never sheds (the generator only offers what it wants served).
+    - {b Execution.} Every admitted request runs on a fresh simulated
+      machine (its own memories and counters) under its {e own} fault
+      session — the campaign seed is derived from the plan seed and the
+      request id — in one order-preserving fan-out over [jobs] host
+      domains, so a request's output digest, service cycles and fault
       tallies are a pure function of the request, never of which
       instance served it or how many instances exist.
+    - {b Batching.} Each window's admitted requests fill batches of at
+      most [max_batch] per model; a batch costs one [dispatch_overhead]
+      on top of its requests' service cycles, so batching amortizes
+      dispatch cost at the price of queueing delay. The predicted
+      (queueing-free) sojourn of every request is fixed here, before
+      routing, and class-SLO shedding, batch autotuning and the
+      predicted health plane read only this pass.
+    - {b Routing.} A batch goes to the earliest-free instance of its
+      placement pool that is healthy at dispatch time (lowest id on
+      ties). Instances whose fault sessions have reported at least
+      [degrade_after] faults are marked degraded at the completion
+      cycle of the offending batch and routed around from then on; if
+      every instance in the pool is degraded the router fails open and
+      keeps dispatching (degraded beats down). With a [health]
+      lifecycle configured, the one-way degraded flag is replaced by a
+      per-instance {!Health.t} state machine: degraded instances
+      re-enter probation after a (relapse-escalated) cooldown, run
+      seeded probes that cost cycles on the probed instance, and are
+      {e readmitted} to the rotation after enough consecutive passes.
 
     The functional {!tally} (per-request outcomes + the service-latency
     histogram) is therefore byte-identical for a fixed [seed] at any
@@ -295,8 +306,11 @@ val validate : config -> (unit, mt_error) result
 (** Diagnose a single-tenant config without running it: [Error
     (Bad_config msg)] for exactly the violations {!run} would raise
     [Invalid_argument msg] on (e.g. [memoize] under a non-empty fault
-    plan). [htvmc serve] calls this first so a bad flag combination is
-    a clear one-line error and a nonzero exit, not a backtrace. *)
+    plan, or a [health] field out of range), through the same check.
+    The one violation only the probe reveals — an explicit
+    [backoff_cap] below an auto [probation_window] — is left to {!run}.
+    [htvmc serve] calls this first so a bad flag combination is a clear
+    one-line error and a nonzero exit, not a backtrace. *)
 
 val run :
   ?trace:Trace.t ->
@@ -349,7 +363,7 @@ val to_json : report -> Trace.Json.t
     traffic); instances either pin one model each ({!Pinned}) or reload
     on demand ({!Swap}, charging [mt_swap_overhead] per model change).
 
-    The single-model determinism architecture carries over wholesale:
+    The determinism architecture is the engine's, shared with {!run}:
     generation, ingress-cap admission, SLO shedding and batch assembly
     are pure functions of the seed (or of a replayed arrival trace), so
     the {!mt_tally} — per-request outcomes, per-class totals, the shed
@@ -365,8 +379,9 @@ val to_json : report -> Trace.Json.t
     reload the predictor always charges — it is the admission
     controller's cost model, applied identically at any fleet shape.
 
-    The multi-tenant path runs fault-free: tenancy composes with the
-    single-model fault machinery rather than duplicating it. *)
+    Multi-tenant runs are fault-free because {!mt_config} has no fault
+    plan, not because the engine lacks faults: {!run} and {!mt_run}
+    share one engine, and only {!run}'s config carries a plan. *)
 
 type model = {
   m_name : string;
@@ -440,9 +455,9 @@ type mt_config = {
           they stay out for the whole run; with it they walk the
           probation/readmission lifecycle. *)
   mt_health : Health.config option;
-      (** per-instance health lifecycle (observed plane only — the
-          multi-tenant path is fault-free, so machines only move on the
-          boot flag and their own probe streams; auto fields resolve
+      (** per-instance health lifecycle (observed plane only — with no
+          fault plan, machines only move on the boot flag and their own
+          probe streams; auto fields resolve
           against the largest model's probe time as in {!config}). The
           {!mt_tally} is unaffected: lifecycle stats live in
           {!mt_instance_stat.mi_health}, {!mt_report.mt_fail_open} and

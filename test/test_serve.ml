@@ -406,6 +406,8 @@ let test_validate_typed_errors () =
   expect_bad "workers 0" { base with Serve.workers = 0 };
   expect_bad "duplicate degraded ids"
     { base with Serve.workers = 4; degraded_instances = [ 1; 1 ] };
+  expect_bad "health probe_fail_prob out of range"
+    { base with Serve.health = Some { Health.default with probe_fail_prob = 2.0 } };
   (* The diagnosis matches what [run] would raise, message for message. *)
   let bad = { base with Serve.memoize = true; plan = flip_plan } in
   match serve ~cfg:bad () with
