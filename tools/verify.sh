@@ -63,6 +63,21 @@ if ! diff _build/serve-tally-w1.txt _build/serve-tally-noplan.txt; then
   exit 1
 fi
 
+# Memoization shares one execution per distinct input, deduplicated
+# before the engine's single pool fan-out: with repeated payloads
+# (--input-mix 4) the tally must be byte-identical with and without it.
+echo "== htvmc serve smoke (--memoize vs plain, input mix 4) =="
+dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+  --workers 2 --requests 16 --batch 4 --input-mix 4 --memoize \
+  --tally _build/serve-tally-memo.txt
+dune exec bin/htvmc.exe -- serve _build/serve-smoke.htvm --config both \
+  --workers 2 --requests 16 --batch 4 --input-mix 4 \
+  --tally _build/serve-tally-mix.txt
+if ! diff _build/serve-tally-mix.txt _build/serve-tally-memo.txt; then
+  echo "verify: serve tallies differ between --memoize and plain" >&2
+  exit 1
+fi
+
 # Telemetry smoke: the cycles track of a serve metrics dump — admission
 # counters, service and predicted-sojourn histograms, per-window series,
 # SLO violation accounting, summed simulator counters — is byte-identical
