@@ -589,7 +589,7 @@ let advance i now =
       i.busy <- i.busy + pc;
       i.probe_cyc <- i.probe_cyc + pc
 
-type result = {
+type engine_result = {
   g_window : int;  (* resolved dispatch window; 0 in closed mode *)
   g_gap : int;  (* resolved mean gap; 0 without a gap *)
   g_health : Health.config option;  (* resolved lifecycle config *)
