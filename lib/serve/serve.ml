@@ -16,9 +16,10 @@
       derived from plan seed + request id), fanned out over a Util.Pool
       whose map is order-preserving. Outputs, service cycles and fault
       tallies cannot depend on routing, fleet size or host parallelism.
-   3. Batch assembly, the predicted sojourn every class SLO and the
-      autotuner are judged by, and the predicted health plane run on the
-      queueing-free timeline, before any instance is chosen.
+   3. Batch assembly happens before any instance is chosen. It fixes
+      each request's predicted (queueing-free) sojourn; class-SLO
+      shedding, the batch autotuner and the predicted health plane read
+      only that timeline.
    4. Scheduling is plain arithmetic over the execution records:
       placement pools, swap costs, earliest-free eligible routing,
       per-instance clocks, degradation bookkeeping and the trace all
