@@ -133,8 +133,9 @@ type config = {
           cycles-track [htvm_health_pred_*] counters, health-aware
           admission shedding and the predicted fail-open count, all
           byte-identical at any [workers]/[jobs]. The {e observed} plane
-          is one machine per instance fed by the faults of the batches
-          it actually served — it drives routing eligibility, charges
+          is one machine per instance fed, under a non-empty fault
+          [plan], the faults of the batches it actually served at each
+          batch's completion — it drives routing eligibility, charges
           probe cycles to instance busy time, and reports via
           {!instance_stat.i_health}, the sched track and {!run}'s
           trace. *)
