@@ -1,9 +1,12 @@
 (* "simfast" experiment: the compiled execution plan fast path
-   (Sim.Plan) against the slow interpretive oracle. Measures per-request
-   wall time with the plan off and on, with the scratch arena reused and
-   discarded, and the serving memoization hit path — while asserting the
-   byte-identity contract: output digests and simulated cycle counts
-   must not move at all. Dumps BENCH_simfast.json. *)
+   (Sim.Plan) against the slow interpretive oracle (Sim.Machine.run
+   without a plan). Measures per-request wall time on the oracle and on
+   the plan, with the scratch arena reused and discarded, and the serving
+   memoization hit path — while asserting the byte-identity contract:
+   output digests and simulated cycle counts must not move at all, and a
+   request under a fault plan that fires on every site must give the same
+   digest, counters and session stats on both paths. Dumps
+   BENCH_simfast.json. *)
 
 module J = Trace.Json
 module C = Htvm.Compile
@@ -36,33 +39,59 @@ let run_simfast ~smoke () =
   let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
   Printf.printf "== simfast: compiled plans vs the slow oracle (%s, %d run(s)/variant) ==\n%!"
     Models.Resnet8.name repeats;
-  let slow_ms, (out_slow, rep_slow) =
-    time_ms ~repeats (fun () -> C.run ~use_plan:false artifact ~inputs)
+  let oracle ?faults () =
+    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ?faults artifact.C.program
+      ~inputs
   in
+  let slow_ms, (out_slow, rep_slow) = time_ms ~repeats (fun () -> oracle ()) in
   let fast_ms, (out_fast, rep_fast) =
     time_ms ~repeats (fun () -> C.run artifact ~inputs)
   in
   let noarena_ms, (out_noarena, rep_noarena) =
     time_ms ~repeats (fun () ->
-        Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~plan:artifact.C.plan
-          ~plan_fresh_arena:true artifact.C.program ~inputs)
+        ignore (Sim.Plan.checkout ~fresh:true artifact.C.plan);
+        C.run artifact ~inputs)
   in
   (* The contract first: the fast paths are only fast if they are also
      byte-identical to the oracle. *)
   let digest = Check.Golden.digest_tensor in
+  let fail fmt =
+    Printf.ksprintf (fun m -> prerr_endline ("simfast bench: " ^ m); exit 1) fmt
+  in
   let check name out rep =
-    if digest out <> digest out_slow then begin
-      Printf.eprintf "simfast bench: %s output digest diverged from slow path\n" name;
-      exit 1
-    end;
-    if C.full_cycles rep <> C.full_cycles rep_slow then begin
-      Printf.eprintf "simfast bench: %s cycles diverged (%d vs %d)\n" name
-        (C.full_cycles rep) (C.full_cycles rep_slow);
-      exit 1
-    end
+    if digest out <> digest out_slow then
+      fail "%s output digest diverged from slow path" name;
+    if C.full_cycles rep <> C.full_cycles rep_slow then
+      fail "%s cycles diverged (%d vs %d)" name (C.full_cycles rep)
+        (C.full_cycles rep_slow)
   in
   check "plan" out_fast rep_fast;
   check "plan (fresh arena)" out_noarena rep_noarena;
+  (* One request under a plan that fires on every fault site, L2 bit rot
+     included, through the plan and through the oracle. *)
+  let fault_spec =
+    "seed=3,dma_in@every=7:flip,dma_out@every=11:drop,wload@every=3:flip,\
+     compute@every=4:stall=100,compute(diana_analog)@every=5:flip,\
+     l1@every=4:flip,l2@every=6:flip=4"
+  in
+  let faulty run =
+    let session =
+      Fault.Session.create (Result.get_ok (Fault.Plan.of_string fault_spec))
+    in
+    let out, rep = run session in
+    ( digest out,
+      List.map (fun (_, c) -> Sim.Counters.fields c) rep.Sim.Machine.per_step,
+      Fault.Session.stats session )
+  in
+  let ((_, _, stats) as on_plan) =
+    faulty (fun faults -> C.run ~faults artifact ~inputs)
+  in
+  if on_plan <> faulty (fun faults -> oracle ~faults ()) then
+    fail "digest, counters or session stats diverged under %s" fault_spec;
+  if
+    stats.Fault.Session.detected = 0 || stats.Fault.Session.silent = 0
+    || stats.Fault.Session.stall_cycles = 0
+  then fail "the fault plan left a detected, silent or stall fault unfired";
   let speedup = slow_ms /. fast_ms in
   let arena_gain = noarena_ms /. fast_ms in
   Printf.printf "  slow oracle   : %8.2f ms/request\n%!" slow_ms;
@@ -70,6 +99,11 @@ let run_simfast ~smoke () =
   Printf.printf "  plan, no arena: %8.2f ms/request  (arena worth %.2fx)\n%!"
     noarena_ms arena_gain;
   Printf.printf "  digests + cycles byte-identical across all paths\n%!";
+  Printf.printf "  under faults: plan = oracle (%s)\n%!"
+    (String.concat ", "
+       (List.map
+          (fun (k, v) -> Printf.sprintf "%s %d" k v)
+          (Fault.Session.stats_fields stats)));
   (* Memoize hit path: every request shares one input, so all but the
      first execution per instance is a table lookup. The tally must not
      move — memoization is telemetry-visible only. *)

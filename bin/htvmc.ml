@@ -305,7 +305,7 @@ let compile path config jobs emit_c trace_out cache cache_dir no_cache =
 (* --- run --- *)
 
 let run path config jobs seed trace_out inject faults_file retry_budget degrade
-    no_plan metrics_out metrics_format cache cache_dir no_cache =
+    metrics_out metrics_format cache cache_dir no_cache =
   let g = load_graph path in
   let cfg = degrade_config (config_for config jobs) degrade in
   let session = Option.map Fault.Session.create (plan_of_args inject faults_file) in
@@ -316,8 +316,7 @@ let run path config jobs seed trace_out inject faults_file retry_budget degrade
         let artifact = compile_or_die ?trace ?metrics:reg ?store cfg g in
         print_demotions artifact;
         let inputs = Models.Zoo.random_input ~seed g in
-        Htvm.Compile.run ?trace ?faults:session ~retry_budget
-          ~use_plan:(not no_plan) artifact ~inputs)
+        Htvm.Compile.run ?trace ?faults:session ~retry_budget artifact ~inputs)
   with
   | exception Fault.Session.Unrecovered { site; attempts } ->
       print_fault_summary session;
@@ -366,8 +365,7 @@ let report path config jobs out json =
 (* --- profile --- *)
 
 let profile path config jobs seed trace_out json_out inject faults_file
-    retry_budget degrade no_plan metrics_out metrics_format cache cache_dir
-    no_cache =
+    retry_budget degrade metrics_out metrics_format cache cache_dir no_cache =
   let g = load_graph path in
   let cfg = degrade_config (config_for config jobs) degrade in
   let session = Option.map Fault.Session.create (plan_of_args inject faults_file) in
@@ -379,8 +377,7 @@ let profile path config jobs seed trace_out json_out inject faults_file
   let inputs = Models.Zoo.random_input ~seed g in
   let out, report =
     try
-      Htvm.Compile.run ~trace ?faults:session ~retry_budget
-        ~use_plan:(not no_plan) artifact ~inputs
+      Htvm.Compile.run ~trace ?faults:session ~retry_budget artifact ~inputs
     with Fault.Session.Unrecovered { site; attempts } ->
       print_fault_summary session;
       Printf.eprintf
@@ -733,9 +730,9 @@ let health_config_of_args enabled threshold probation interval cost passes cap
    fleet that pins or hot-swaps models. All failures are typed
    [Serve.mt_error]s, printed and mapped to exit 1. *)
 let serve_mt path config jobs workers batch queue_depth requests seed arrival
-    gap window overhead no_plan degraded health model_flags class_flags
-    placement swap_overhead period burst replay arrival_trace_out trace_out
-    json_out tally_out metrics_out metrics_format store =
+    gap window overhead degraded health model_flags class_flags placement
+    swap_overhead period burst replay arrival_trace_out trace_out json_out
+    tally_out metrics_out metrics_format store =
   let cfg = config_for config (Some jobs) in
   let model_paths = ("main", path) :: List.map parse_model_flag model_flags in
   (* Fleet warmup: every model compiles through the shared store, so a
@@ -796,7 +793,6 @@ let serve_mt path config jobs workers batch queue_depth requests seed arrival
       mt_swap_overhead = swap_overhead;
       mt_placement = placement;
       mt_jobs = jobs;
-      mt_use_plan = not no_plan;
       mt_degraded_instances = degraded;
       mt_health = health;
     }
@@ -840,7 +836,7 @@ let serve_mt path config jobs workers batch queue_depth requests seed arrival
 
 let serve path config jobs workers batch queue_depth requests seed arrival gap
     window overhead inject faults_file retry_budget degrade_after degraded
-    health slo_sojourn no_plan memoize input_mix model_flags class_flags
+    health slo_sojourn memoize input_mix model_flags class_flags
     placement swap_overhead period burst replay arrival_trace_out trace_out
     json_out tally_out metrics_out metrics_format cache cache_dir no_cache =
   let jobs = resolve_jobs jobs in
@@ -865,9 +861,9 @@ let serve path config jobs workers batch queue_depth requests seed arrival gap
       ];
     ignore retry_budget;
     serve_mt path config jobs workers batch queue_depth requests seed arrival
-      gap window overhead no_plan degraded health model_flags class_flags
-      placement swap_overhead period burst replay arrival_trace_out trace_out
-      json_out tally_out metrics_out metrics_format store
+      gap window overhead degraded health model_flags class_flags placement
+      swap_overhead period burst replay arrival_trace_out trace_out json_out
+      tally_out metrics_out metrics_format store
   end
   else begin
   (match arrival_trace_out with
@@ -914,7 +910,6 @@ let serve path config jobs workers batch queue_depth requests seed arrival gap
       degraded_instances = degraded;
       jobs;
       slo_sojourn;
-      use_plan = not no_plan;
       memoize;
       input_mix;
       health;
@@ -980,7 +975,7 @@ let parse_rates s =
   rates
 
 let campaign path config jobs workers batch queue_depth requests seed arrival
-    gap window overhead retry_budget slo_sojourn no_plan health rates site kind
+    gap window overhead retry_budget slo_sojourn health rates site kind
     fault_seed json_out tally_out metrics_out metrics_format =
   let jobs = resolve_jobs jobs in
   let g = load_graph path in
@@ -1010,7 +1005,6 @@ let campaign path config jobs workers batch queue_depth requests seed arrival
       retry_budget;
       jobs;
       slo_sojourn;
-      use_plan = not no_plan;
       health;
     }
   in
@@ -1206,13 +1200,6 @@ let degrade_arg =
            ~doc:"Treat accelerator TARGET as degraded: the compiler's \
                  fallback ladder re-lowers its segments to the next-best \
                  target. Repeatable.")
-let no_plan_arg =
-  Arg.(value & flag
-       & info [ "no-plan" ]
-           ~doc:"Execute on the slow interpretive simulator path instead of \
-                 the artifact's compiled execution plan. Outputs, cycle \
-                 counts and traces are byte-identical either way (the slow \
-                 path is the conformance oracle).")
 
 let cache_arg =
   Arg.(value & flag
@@ -1256,8 +1243,8 @@ let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"Compile and simulate a model")
     Term.(const run $ path_arg $ config_arg $ jobs_arg $ seed $ trace_arg
           $ inject_arg $ faults_file_arg $ retry_budget_arg $ degrade_arg
-          $ no_plan_arg $ metrics_arg $ metrics_format_arg $ cache_arg
-          $ cache_dir_arg $ no_cache_arg)
+          $ metrics_arg $ metrics_format_arg $ cache_arg $ cache_dir_arg
+          $ no_cache_arg)
 
 let profile_cmd =
   let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Input seed.") in
@@ -1270,8 +1257,8 @@ let profile_cmd =
        ~doc:"Compile and simulate with tracing on; print a profile summary")
     Term.(const profile $ path_arg $ config_arg $ jobs_arg $ seed $ trace_arg
           $ json_out $ inject_arg $ faults_file_arg $ retry_budget_arg
-          $ degrade_arg $ no_plan_arg $ metrics_arg $ metrics_format_arg
-          $ cache_arg $ cache_dir_arg $ no_cache_arg)
+          $ degrade_arg $ metrics_arg $ metrics_format_arg $ cache_arg
+          $ cache_dir_arg $ no_cache_arg)
 
 let dot_cmd =
   let out = Arg.(value & opt (some string) None & info [ "o" ] ~doc:"Write DOT here.") in
@@ -1613,7 +1600,7 @@ let serve_cmd =
     Term.(const serve $ path_arg $ config_arg $ jobs_arg $ workers $ batch
           $ queue_depth $ requests $ seed $ arrival $ gap $ window $ overhead
           $ inject_arg $ faults_file_arg $ retry_budget_arg $ degrade_after
-          $ degraded $ health $ slo_sojourn $ no_plan_arg $ memoize $ input_mix
+          $ degraded $ health $ slo_sojourn $ memoize $ input_mix
           $ model_flags $ class_flags $ placement $ swap_overhead $ period
           $ burst $ replay $ arrival_trace_out $ trace_arg $ json_out
           $ tally_out $ metrics_arg $ metrics_format_arg $ cache_arg
@@ -1725,9 +1712,8 @@ let campaign_cmd =
              degraded instances re-enter rotation mid-run.")
     Term.(const campaign $ path_arg $ config_arg $ jobs_arg $ workers $ batch
           $ queue_depth $ requests $ seed $ arrival $ gap $ window $ overhead
-          $ retry_budget_arg $ slo_sojourn $ no_plan_arg $ health $ rates
-          $ site $ kind $ fault_seed $ json_out $ tally_out $ metrics_arg
-          $ metrics_format_arg)
+          $ retry_budget_arg $ slo_sojourn $ health $ rates $ site $ kind
+          $ fault_seed $ json_out $ tally_out $ metrics_arg $ metrics_format_arg)
 
 let cache_cmd =
   let action =

@@ -1075,10 +1075,9 @@ let compile ?trace ?metrics ?store cfg graph =
                     stored.st_tuning_trials);
               Ok (artifact_of_stored cfg stored)))
 
-let run ?trace ?faults ?retry_budget ?(use_plan = true) artifact ~inputs =
-  let plan = if use_plan then Some artifact.plan else None in
+let run ?trace ?faults ?retry_budget artifact ~inputs =
   Sim.Machine.run ~platform:artifact.cfg.platform ?trace ?faults ?retry_budget
-    ?plan artifact.program ~inputs
+    ~plan:artifact.plan artifact.program ~inputs
 
 let full_cycles (r : Sim.Machine.report) = r.Sim.Machine.totals.Sim.Counters.wall
 

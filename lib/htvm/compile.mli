@@ -96,7 +96,7 @@ type artifact = {
   program : Sim.Program.t;
   plan : Sim.Plan.t;
       (** compiled execution plan for [program], built eagerly at compile
-          time; {!run} uses it by default ([use_plan]) *)
+          time; {!run} executes through it *)
   size : Codegen.Size.report;
   layers : layer_info list;
   c_source : string;  (** DORY-style C for every offloaded layer *)
@@ -195,17 +195,15 @@ val run :
   ?trace:Trace.t ->
   ?faults:Fault.Session.t ->
   ?retry_budget:int ->
-  ?use_plan:bool ->
   artifact ->
   inputs:(string * Tensor.t) list ->
   Tensor.t * Sim.Machine.report
 (** Execute the artifact on the simulated SoC; [trace], [faults] and
     [retry_budget] are forwarded to {!Sim.Machine.run} (omitting
     [faults], or passing a session over the empty plan, changes
-    nothing). [use_plan] (default [true]) executes through the artifact's
-    compiled {!Sim.Plan} fast path — byte-identical outputs, counters and
-    traces; pass [false] to force the slow interpretive oracle. A fault
-    session always runs the slow path regardless of [use_plan].
+    nothing). Every accelerator step runs through the artifact's compiled
+    {!Sim.Plan}, fault session or not; the interpretive oracle is
+    {!Sim.Machine.run} without [~plan].
     @raise Fault.Session.Unrecovered when an injected fault exhausts the
     retry budget. *)
 

@@ -63,7 +63,6 @@ type config = {
   degraded_instances : int list;
   jobs : int;
   slo_sojourn : int option;
-  use_plan : bool;
   memoize : bool;
   input_mix : int;
   health : Health.config option;
@@ -85,7 +84,6 @@ let default =
     degraded_instances = [];
     jobs = 1;
     slo_sojourn = None;
-    use_plan = true;
     memoize = false;
     input_mix = 0;
     health = None;
@@ -262,7 +260,6 @@ type mt_config = {
   mt_swap_overhead : int;
   mt_placement : placement;
   mt_jobs : int;
-  mt_use_plan : bool;
   mt_degraded_instances : int list;
   mt_health : Health.config option;
 }
@@ -280,7 +277,6 @@ let mt_default =
     mt_swap_overhead = 5_000;
     mt_placement = Swap;
     mt_jobs = 1;
-    mt_use_plan = true;
     mt_degraded_instances = [];
     mt_health = None;
   }
@@ -486,7 +482,7 @@ type exec =
     }
   | Abort of { a_site : string; a_attempts : int; a_detected : int; a_silent : int }
 
-let execute x ~use_plan m q =
+let execute x m q =
   let inputs = Models.Zoo.random_input ~seed:q.q_input_seed m.m_graph in
   let session =
     if Fault.Plan.is_empty x.x_plan then None
@@ -500,7 +496,7 @@ let execute x ~use_plan m q =
         (st.Fault.Session.detected, st.Fault.Session.silent, st.Fault.Session.retries)
   in
   match
-    C.run ?faults:session ~retry_budget:x.x_retry_budget ~use_plan m.m_artifact ~inputs
+    C.run ?faults:session ~retry_budget:x.x_retry_budget m.m_artifact ~inputs
   with
   | out, report ->
       let detected, silent, retries = fault_stats () in
@@ -713,7 +709,7 @@ let engine ?trace cfg x ~models ~classes ~generate =
     reps
     (Util.Pool.with_pool ~jobs:cfg.mt_jobs (fun pool ->
          Util.Pool.map pool
-           (fun (_, (_, q)) -> execute x ~use_plan:cfg.mt_use_plan models.(model_of q) q)
+           (fun (_, (_, q)) -> execute x models.(model_of q) q)
            reps));
   let work = List.map (fun (key, item) -> (item, Hashtbl.find execs key)) keyed in
   (* Batch assembly, one pass per window — latest window first, the
@@ -1170,7 +1166,6 @@ let run ?trace ?metrics cfg artifact ~graph =
           mt_swap_overhead = 0;
           mt_placement = Pinned;
           mt_jobs = cfg.jobs;
-          mt_use_plan = cfg.use_plan;
           mt_degraded_instances = cfg.degraded_instances;
           mt_health = cfg.health;
         }
@@ -2354,7 +2349,6 @@ let to_json r =
       ("window_cycles", J.Int r.r_window);
       ("dispatch_overhead_cycles", J.Int r.r_config.dispatch_overhead);
       ("plan", J.Str (Fault.Plan.to_string r.r_config.plan));
-      ("use_plan", J.Bool r.r_config.use_plan);
       ("input_mix", J.Int r.r_config.input_mix);
       ("memoize", J.Bool r.r_config.memoize);
       ("memo_hits", J.Int r.r_memo_hits);

@@ -23,10 +23,11 @@
       {!Mt_shed_queue}). Admission is a pure function of the arrival
       stream, so the shed set does not depend on the fleet size. Closed
       mode never sheds (the generator only offers what it wants served).
-    - {b Execution.} Every admitted request runs on a fresh simulated
-      machine (its own memories and counters) under its {e own} fault
-      session — the campaign seed is derived from the plan seed and the
-      request id — in one order-preserving fan-out over [jobs] host
+    - {b Execution.} Every admitted request runs through its artifact's
+      compiled {!Sim.Plan} on a rewound simulated machine (its own
+      memories and counters) under its {e own} fault session — the
+      campaign seed is derived from the plan seed and the request id —
+      in one order-preserving fan-out over [jobs] host
       domains, so a request's output digest, service cycles and fault
       tallies are a pure function of the request, never of which
       instance served it or how many instances exist.
@@ -100,11 +101,6 @@ type config = {
           the tally and on the metrics cycles track) and against the
           {e observed} scheduled sojourn (fleet-shape dependent, report
           and sched track only). *)
-  use_plan : bool;
-      (** execute requests through the artifact's compiled
-          {!Sim.Plan} fast path (default); [false] forces the slow
-          interpretive oracle. Tallies are byte-identical either way —
-          `tools/verify.sh` diffs the two. *)
   memoize : bool;
       (** reuse one execution across admitted requests with identical
           input digests (dedup happens before the pool fan-out). Sound
@@ -145,8 +141,7 @@ val default : config
 (** [workers = 4], [max_batch = 8], [queue_depth = 32], [requests = 64],
     [seed = 42], closed-loop arrivals, auto window, 1000-cycle dispatch
     overhead, no faults, retry budget 3, no degradation, [jobs = 1],
-    no SLO, plan fast path on, no memoization, fully-unique inputs, no
-    health lifecycle. *)
+    no SLO, no memoization, fully-unique inputs, no health lifecycle. *)
 
 type request = {
   r_id : int;
@@ -450,7 +445,6 @@ type mt_config = {
   mt_swap_overhead : int;  (** model reload cost in cycles *)
   mt_placement : placement;
   mt_jobs : int;  (** host domains; a wall-clock knob only *)
-  mt_use_plan : bool;  (** route executions through {!Sim.Plan} *)
   mt_degraded_instances : int list;
       (** instance ids out of rotation from cycle 0. Without [mt_health]
           they stay out for the whole run; with it they walk the
@@ -469,8 +463,8 @@ val mt_default : mt_config
 (** [mt_workers = 4], [mt_max_batch = 8], [mt_queue_depth = 32],
     [mt_requests = 64], [mt_seed = 42], closed arrivals, auto window,
     1000-cycle dispatch overhead, 5000-cycle swap overhead, {!Swap}
-    placement, [mt_jobs = 1], plan fast path on, no degraded instances,
-    no health lifecycle. *)
+    placement, [mt_jobs = 1], no degraded instances, no health
+    lifecycle. *)
 
 type mt_request = {
   q_id : int;

@@ -8,7 +8,11 @@
 
     Timing follows the platform's DMA model and the accelerator's cycle
     models; with double buffering the wall clock overlaps each tile's
-    compute with its neighbours' transfers. *)
+    compute with its neighbours' transfers.
+
+    This is the conformance oracle, reached through {!Machine.run}
+    without [~plan]; production runs execute the compiled {!Plan}, which
+    must match it byte for byte. *)
 
 type buffers = {
   in_offsets : int list;  (** L2 offsets of the data inputs (1, or 2 for Add) *)

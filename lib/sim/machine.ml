@@ -55,26 +55,16 @@ let run_cpu_step ~l2 ~(prog : P.t) ~nodes ~ins ~out =
   | Some v -> write_buffer l2 (P.buffer prog out) v
   | None -> invalid_arg "Machine: empty CPU kernel"
 
-let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan
-    ?(plan_fresh_arena = false) (prog : P.t) ~inputs =
+let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan (prog : P.t) ~inputs =
   (match P.validate prog with
   | Ok () -> ()
   | Error e -> invalid_arg ("Machine: invalid program: " ^ e));
-  (* The compiled plan is only sound fault-free: fault injection mutates
-     memory and timing per request, which is exactly what a plan
-     precomputes away. With a fault session active the slow path runs and
-     stays the oracle. *)
-  let plan =
-    match (plan, faults) with
-    | Some p, None ->
-        if not (Plan.program p == prog) then
-          invalid_arg "Machine: plan was built for a different program";
-        Some p
-    | _ -> None
-  in
   let l2, l1 =
     match plan with
-    | Some p -> Plan.checkout ~fresh:plan_fresh_arena p
+    | Some p ->
+        if not (Plan.program p == prog) then
+          invalid_arg "Machine: plan was built for a different program";
+        Plan.checkout p
     | None ->
         let l2 = Mem.create "L2" platform.Arch.Platform.l2.Arch.Memory.size_bytes in
         let l1 = Mem.create "L1" platform.Arch.Platform.l1.Arch.Memory.size_bytes in
@@ -99,6 +89,7 @@ let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan
   let totals = Counters.create () in
   let on = Trace.enabled trace in
   let clock = ref 0 in
+  let l2_rotted = ref false in
   let per_step =
     List.mapi
       (fun step_index step ->
@@ -108,13 +99,15 @@ let run ~platform ?trace ?faults ?(retry_budget = 3) ?plan
         let rot_c = Counters.create () in
         let rot = Resilience.make ?faults ~retry_budget rot_c in
         Resilience.mem_rot rot ~site:Fault.Plan.L2 ~mem:l2;
+        if rot_c.Counters.faults_silent > 0 then l2_rotted := true;
         Resilience.mem_rot rot ~site:Fault.Plan.L1 ~mem:l1;
         let c =
           match step with
           | P.Accel { accel_name; schedule; ins; out; weights_offset; bias_offset } -> (
               match plan with
               | Some p ->
-                  Plan.run_accel_step p ~step_index ~l2 ~l1 ?trace ~t0:!clock ()
+                  Plan.run_accel_step p ~step_index ~l2 ~l1 ?trace ?faults
+                    ~retry_budget ~l2_rotted:!l2_rotted ~t0:!clock ()
               | None ->
                   let accel = Arch.Platform.find_accel platform accel_name in
                   let buffers =

@@ -2,8 +2,9 @@
 
     Instantiates byte-level L1/L2 memories, preloads weight images, binds
     the network inputs, executes every step (accelerator schedules through
-    {!Exec_accel}, fused CPU kernels through the reference interpreter
-    with modeled cycles), and reads the output buffer back. The returned
+    the compiled {!Plan} when one is given, else through the {!Exec_accel}
+    oracle; fused CPU kernels through the reference interpreter with
+    modeled cycles), and reads the output buffer back. The returned
     report carries per-step and aggregate counters for the latency tables. *)
 
 type report = {
@@ -21,24 +22,21 @@ val run :
   ?faults:Fault.Session.t ->
   ?retry_budget:int ->
   ?plan:Plan.t ->
-  ?plan_fresh_arena:bool ->
   Program.t ->
   inputs:(string * Tensor.t) list ->
   Tensor.t * report
-(** Execute the program on fresh memories — or, when [plan] is given (it
-    must have been built for this very program, physical equality) and no
-    fault session is active, on the calling domain's reused plan arena via
-    the compiled fast path, with byte-identical outputs, counters, traces
-    and high-water marks. A [plan] passed alongside [faults] is ignored:
-    fault injection always runs the slow oracle path.
-    [plan_fresh_arena] (default false) discards the domain's cached arena
-    first — benchmarks use it to measure the no-reuse path.
+(** Execute the program. With [plan] (it must have been built for this
+    very program, physical equality — checked on every call), every
+    accelerator step runs through the compiled fast path on the calling
+    domain's reused plan arena, fault session or not. Without [plan],
+    fresh memories are allocated and every accelerator step runs through
+    the {!Exec_accel} oracle. Both paths give byte-identical outputs,
+    counters, traces, high-water marks and fault-session draws.
 
-    When [trace] is given, each
-    step contributes one interval on the ["steps"] track (whose summed
-    durations equal [totals.wall]), per-tile engine/DMA intervals via
-    {!Exec_accel}, and L1/L2 occupancy high-water samples on the ["mem"]
-    track. Tracing never changes the computation: outputs and counters
+    When [trace] is given, each step contributes one interval on the
+    ["steps"] track (whose summed durations equal [totals.wall]), per-tile
+    engine/DMA intervals, and L1/L2 occupancy high-water samples on the
+    ["mem"] track. Tracing never changes the computation: outputs and counters
     are bit-identical with and without it.
 
     When [faults] is given, the run becomes an injection campaign: every
@@ -50,6 +48,6 @@ val run :
     operation.
     @raise Fault.Session.Unrecovered when a detected fault exhausts the
     retry budget (the modeled runtime aborts rather than return corrupt
-    data). @raise Invalid_argument on missing/mistyped inputs or a
-    malformed program. @raise Mem.Fault on memory corruption (a compiler
-    bug). *)
+    data). @raise Invalid_argument on missing/mistyped inputs, a
+    malformed program or a [plan] built for another program.
+    @raise Mem.Fault on memory corruption (a compiler bug). *)

@@ -13,12 +13,13 @@ module K = Nn.Kernels
    pure data movement and kernel math over preallocated scratch arenas.
 
    Byte-identity contract (enforced by the golden snapshots and the
-   plan-on/plan-off differential tests): for a fault-free run of a
-   well-formed program, the fast path produces exactly the slow path's
-   output bytes, cycle counters, trace events and memory high-water marks.
-   The proof obligations live next to each piece below; the load-bearing
-   one is that integer addition is exact, so summing over a zero-padded
-   input in a dense loop equals the slow path's bounds-checked sum. *)
+   plan/oracle differential tests): for every run of a well-formed
+   program, fault session or not, the fast path produces exactly the slow
+   path's output bytes, cycle counters, trace events, memory high-water
+   marks and session draws. The proof obligations live next to each piece
+   below; the load-bearing one is that integer addition is exact, so
+   summing over a zero-padded input in a dense loop equals the slow path's
+   bounds-checked sum. *)
 
 (* --- Plan data types ---------------------------------------------------- *)
 
@@ -99,6 +100,12 @@ type inst = {
   i_out_len : int;  (* elements encoded into the L1 output block *)
   i_compute : compute;
   i_scr : scratch_spec;
+  (* Modeled per-tile cycles: each fault site's retry cost. *)
+  i_din : int;
+  i_wl : int option;  (* Some only when the tile fills a weight memory *)
+  i_cc : int;
+  i_dout : int;
+  i_out_bytes : int;  (* L1 output block, the range a silent compute flip hits *)
 }
 
 type tevent = {
@@ -111,6 +118,7 @@ type tevent = {
 
 type astep = {
   a_insts : inst array;
+  a_engine : Fault.Plan.site;  (* the engine's compute fault site *)
   a_counters : Counters.t;  (* fault-free template, copied per request *)
   a_tpl : tevent array;  (* trace timeline, replayed per request *)
   a_fail : exn option;  (* deferred slow-path raise for malformed steps *)
@@ -126,6 +134,7 @@ type scratch = {
 type arena = { ar_l2 : Mem.t; ar_l1 : Mem.t; ar_scratch : scratch array array }
 
 type t = {
+  p_platform : Arch.Platform.t;
   p_prog : P.t;
   p_steps : astep option array;  (* aligned with [prog.steps]; None = Cpu *)
   p_l2_image : Bytes.t;  (* post-weight-load L2 snapshot *)
@@ -348,8 +357,15 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
   let accel = Arch.Platform.find_accel platform accel_name in
   let l = s.S.layer in
   let l1_size = platform.Arch.Platform.l1.Arch.Memory.size_bytes in
+  let a_engine = Fault.Plan.Compute (Some accel_name) in
   let fail_step e =
-    { a_insts = [||]; a_counters = Counters.create (); a_tpl = [||]; a_fail = Some e }
+    {
+      a_insts = [||];
+      a_engine;
+      a_counters = Counters.create ();
+      a_tpl = [||];
+      a_fail = Some e;
+    }
   in
   (* Same checks, in the same order, as the slow path performs per run. *)
   let arity_ok =
@@ -622,6 +638,13 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                   i_out_len = out_len;
                   i_compute = compute;
                   i_scr = scr;
+                  i_din = din.(i);
+                  i_wl =
+                    (if inst.S.load_weights && l.L.weights <> None then Some wls.(i)
+                     else None);
+                  i_cc = ccs.(i);
+                  i_dout = dout.(i);
+                  i_out_bytes = Tile.bytes_out l d;
                 })
               insts
           in
@@ -659,12 +682,20 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
           c.Counters.wall <- wall;
           {
             a_insts = plan_insts;
+            a_engine;
             a_counters = c;
             a_tpl = Array.of_list (List.rev !tpl);
             a_fail = None;
           }
     end
   end
+
+let resolve_step ~platform ~l2b ~prog = function
+  | P.Cpu _ -> None
+  | P.Accel { accel_name; schedule; ins; out; weights_offset; bias_offset } ->
+      Some
+        (build_astep ~platform ~l2b ~prog ~accel_name ~s:schedule ~ins ~out
+           ~weights_offset ~bias_offset)
 
 let build ~platform (prog : P.t) =
   (match P.validate prog with
@@ -675,16 +706,7 @@ let build ~platform (prog : P.t) =
   let l2b = Mem.create "L2" l2_size in
   List.iter (fun (off, t) -> Mem.write_tensor l2b off t) prog.P.weight_images;
   let p_steps =
-    Array.of_list
-      (List.map
-         (function
-           | P.Cpu _ -> None
-           | P.Accel { accel_name; schedule; ins; out; weights_offset; bias_offset }
-             ->
-               Some
-                 (build_astep ~platform ~l2b ~prog ~accel_name ~s:schedule ~ins
-                    ~out ~weights_offset ~bias_offset))
-         prog.P.steps)
+    Array.of_list (List.map (resolve_step ~platform ~l2b ~prog) prog.P.steps)
   in
   let tiles =
     Array.fold_left
@@ -706,6 +728,7 @@ let build ~platform (prog : P.t) =
       0 p_steps
   in
   {
+    p_platform = platform;
     p_prog = prog;
     p_steps;
     p_l2_image = Mem.image l2b;
@@ -810,19 +833,48 @@ let exec_compute ~l1 inst scr =
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off
         (Tensor.unsafe_data out) ~pos:0 ~len:(Tensor.numel out)
 
-let run_accel_step plan ~step_index ~l2 ~l1 ?trace ~t0 () =
+let run_accel_step plan ~step_index ~l2 ~l1 ?trace ?faults ?(retry_budget = 3)
+    ?(l2_rotted = false) ~t0 () =
   let a =
     match plan.p_steps.(step_index) with
     | Some a -> a
     | None -> invalid_arg "Plan.run_accel_step: step is not an accelerator step"
   in
   (match a.a_fail with Some e -> raise e | None -> ());
+  (* The slow path reads weights and bias from live L2 on every tile, so
+     after L2 bit rot they are re-decoded from [l2]. Geometry and scratch
+     sizes do not depend on L2 contents: only the decoded copies change. *)
+  let a =
+    if l2_rotted then
+      Option.get
+        (resolve_step ~platform:plan.p_platform ~l2b:l2 ~prog:plan.p_prog
+           (List.nth plan.p_prog.P.steps step_index))
+    else a
+  in
   let scratch = (arena plan ~fresh:false).ar_scratch.(step_index) in
+  let c = copy_counters a.a_counters in
+  let rc = Resilience.make ?faults ~retry_budget c in
+  (* Fault sites are consulted in exactly [Exec_accel.run]'s order, so a
+     session draws the same stream on both paths. *)
   Array.iteri
     (fun i inst ->
       replay_blits ~src:l2 ~dst:l1 inst.i_in_blits;
+      Resilience.guard rc ~site:Fault.Plan.Dma_in ~cycles:inst.i_din
+        ~flip_detected:true ();
+      Option.iter
+        (fun wl ->
+          Resilience.guard rc ~site:Fault.Plan.Weight_load ~cycles:wl
+            ~flip_detected:true ())
+        inst.i_wl;
       exec_compute ~l1 inst scratch.(i);
-      replay_blits ~src:l1 ~dst:l2 inst.i_out_blits)
+      Resilience.guard rc ~site:a.a_engine ~cycles:inst.i_cc
+        ~corrupt:(fun fs bits ->
+          Resilience.flip_in_mem fs l1 ~base:inst.i_out_off ~bytes:inst.i_out_bytes
+            bits)
+        ~flip_detected:false ();
+      replay_blits ~src:l1 ~dst:l2 inst.i_out_blits;
+      Resilience.guard rc ~site:Fault.Plan.Dma_out ~cycles:inst.i_dout
+        ~flip_detected:true ())
     a.a_insts;
   if Trace.enabled trace then
     Array.iter
@@ -830,4 +882,9 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ~t0 () =
         Trace.interval trace ~track:tv.tv_track ~ts:(t0 + tv.tv_ts) ~dur:tv.tv_dur
           ~args:tv.tv_args tv.tv_name)
       a.a_tpl;
-  copy_counters a.a_counters
+  (* As on the slow path: fault effects extend the step past its
+     fault-free wall, and the base counters keep their clean values. *)
+  let wall = c.Counters.wall in
+  Resilience.emit_events rc trace ~ts:(t0 + wall);
+  c.Counters.wall <- wall + c.Counters.retry_cycles + c.Counters.fault_stall;
+  c

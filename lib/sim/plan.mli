@@ -12,15 +12,15 @@
     accumulator and output buffers, reset between requests instead of
     reallocated. A plan is therefore safe to share across domains.
 
-    Byte-identity contract: for a {e fault-free} run of a well-formed
-    program, the fast path produces exactly the slow path's output bytes,
-    per-step cycle counters, trace events and memory high-water marks. The
-    slow path remains the conformance oracle ([htvmc check], the golden
-    snapshots and the plan differential tests enforce the contract). Plans
-    must not be used under fault injection: faults mutate memory and
-    timing per request, which is exactly what a plan precomputes away —
-    {!Machine.run} falls back to the slow path when a fault session is
-    active. *)
+    Byte-identity contract: for every run of a well-formed program, with
+    or without a fault session, the fast path produces exactly the slow
+    path's output bytes, per-step cycle counters, trace events, memory
+    high-water marks and fault-session draws. The plan is the production
+    executor; the slow path ({!Exec_accel}) is the conformance oracle that
+    [htvmc check], the golden snapshots and the plan differential tests
+    hold it to. Faults stay per request: the plan consults the session at
+    the oracle's sites in the oracle's order and adds the drawn retry and
+    stall cycles to its precomputed counters. *)
 
 type t
 
@@ -49,7 +49,8 @@ val checkout : ?fresh:bool -> t -> Mem.t * Mem.t
     fresh {!Machine.run} would build: L2 holding the weight images with its
     post-load high-water mark, L1 poisoned with [0x5A]. The first call in a
     domain allocates the arena; [~fresh:true] discards any cached arena and
-    allocates anew (benchmarks use it to measure the no-reuse path). *)
+    allocates anew (benchmarks use it to measure the no-reuse path: a
+    following {!Machine.run} with this plan runs on the new arena). *)
 
 val run_accel_step :
   t ->
@@ -57,6 +58,9 @@ val run_accel_step :
   l2:Mem.t ->
   l1:Mem.t ->
   ?trace:Trace.t ->
+  ?faults:Fault.Session.t ->
+  ?retry_budget:int ->
+  ?l2_rotted:bool ->
   t0:int ->
   unit ->
   Counters.t
@@ -64,6 +68,16 @@ val run_accel_step :
     play the precomputed DMA blits, run the flat kernels over the domain
     arena's scratch, encode the result, replay the recorded trace timeline
     shifted to cycle [t0], and return a fresh copy of the step's counters.
+
+    With [faults], every tile consults the session exactly as
+    {!Exec_accel.run} does (input DMA, weight load, engine compute — a
+    silent flip corrupts the tile's L1 output block — then output DMA),
+    fault events land on the ["fault"] track after the fault-free wall,
+    and [retry_cycles + fault_stall] extend the returned wall.
+    [retry_budget] defaults to 3. [l2_rotted] (default false) says L2 bit
+    rot fired earlier in this request: the step then re-decodes its
+    weights and bias from [l2], as the oracle reads them on every tile.
     @raise Invalid_argument when the step is a CPU step.
+    @raise Fault.Session.Unrecovered past the retry budget.
     @raise Mem.Fault / [Invalid_argument] with the slow path's exception
     when the step was recorded as malformed at build time. *)

@@ -1,11 +1,16 @@
 (* Differential conformance for compiled execution plans (Sim.Plan): the
-   fast path must be byte-identical to the slow oracle — output bytes,
-   per-step counters, aggregate counters and trace events — on zoo models
-   and randomly generated graphs/configs. Plans are silently dropped
-   under fault injection (the slow path stays the fault oracle) and
-   rejected for programs they were not built for. *)
+   fast path must be byte-identical to the slow oracle (Sim.Machine.run
+   without a plan) — output bytes, per-step counters, aggregate counters
+   and trace events — on zoo models and randomly generated graphs and
+   configs, fault-free and under fault sessions (where session stats and
+   aborts must match too). Plans are rejected for programs they were not
+   built for. *)
 
 module C = Htvm.Compile
+
+let oracle ?trace ?faults artifact ~inputs =
+  Sim.Machine.run ~platform:artifact.C.cfg.C.platform ?trace ?faults
+    artifact.C.program ~inputs
 
 let compare_counters label a b =
   List.iter2
@@ -40,11 +45,69 @@ let compare_traces label slow fast =
   Alcotest.(check bool) (label ^ ": trace events identical") true
     (Trace.events slow = Trace.events fast)
 
+(* One run under a fresh session of [plan]: the output (or the abort,
+   or any other exception), the report, the trace events and the
+   session's stats. *)
+let run_faulty run plan =
+  let faults = Fault.Session.create plan in
+  let trace = Trace.create () in
+  let result =
+    match run ~trace ~faults with
+    | r -> Ok r
+    | exception Fault.Session.Unrecovered { site; attempts } ->
+        Error (Printf.sprintf "unrecovered at %s after %d attempt(s)" site attempts)
+    | exception e -> Error (Printexc.to_string e)
+  in
+  (result, Trace.events trace, Fault.Session.stats faults)
+
+(* The plan must consult the session exactly as the oracle does. *)
+let fault_differential label artifact ~inputs plan =
+  let label = label ^ " under " ^ Fault.Plan.to_string plan in
+  let slow, ev_slow, st_slow =
+    run_faulty (fun ~trace ~faults -> oracle ~trace ~faults artifact ~inputs) plan
+  in
+  let fast, ev_fast, st_fast =
+    run_faulty (fun ~trace ~faults -> C.run ~trace ~faults artifact ~inputs) plan
+  in
+  (match (slow, fast) with
+  | Ok (out_slow, rep_slow), Ok (out_fast, rep_fast) ->
+      compare_outputs label out_slow out_fast;
+      compare_reports label rep_slow rep_fast
+  | Error e, Error e' -> Alcotest.(check string) (label ^ ": same failure") e e'
+  | Ok _, Error e -> Alcotest.failf "%s: only the plan failed: %s" label e
+  | Error e, Ok _ -> Alcotest.failf "%s: only the oracle failed: %s" label e);
+  Alcotest.(check bool) (label ^ ": trace events identical") true (ev_slow = ev_fast);
+  Alcotest.(check (list (pair string int)))
+    (label ^ ": session stats")
+    (Fault.Session.stats_fields st_slow)
+    (Fault.Session.stats_fields st_fast)
+
+(* Hand-written plans covering every site and kind: detected flips and
+   drops with retries, stalls, silent compute flips, L1/L2 bit rot (L2
+   rot re-resolves the weights the plan decoded at build time) and an
+   always-drop abort. *)
+let fault_plans =
+  List.map
+    (fun spec -> Result.get_ok (Fault.Plan.of_string spec))
+    [
+      "seed=1,dma_in@every=3:flip";
+      "seed=2,dma_out@every=4:drop,dma_in@nth=2:stall=50";
+      "seed=3,wload@p=0.3:flip,compute@p=0.3:flip,wload@nth=3:stall=20";
+      "seed=4,compute@p=0.3:flip";
+      "seed=5,compute@every=5:stall=300,compute(diana_digital)@every=4:drop";
+      "seed=6,l1@every=2:flip=3,l1@nth=3:stall=40";
+      "seed=7,l2@always:flip=8,compute(diana_analog)@p=0.2:flip";
+      "seed=8,l2@every=2:flip=16,l2@nth=1:stall=10,dma_out@every=3:flip";
+      "seed=9,dma_in@always:drop";
+      "seed=10,l2@nth=1:flip=32,wload@nth=1:drop,compute@every=7:flip=3";
+    ]
+
 (* One zoo model per deployment configuration — every accelerator payload
    shape (cpu-only, digital, analog ternary, mixed) crosses the plan path
-   on a real network. The 16-case golden suite already runs the plan path
-   end to end; this test pins the *differential* against the slow oracle
-   including counters and traces, which digests cannot see. *)
+   on a real network, fault-free and under every plan of [fault_plans].
+   The 16-case golden suite already runs the plan path end to end; this
+   test pins the *differential* against the slow oracle including
+   counters and traces, which digests cannot see. *)
 let zoo_cases =
   [ ("ds_cnn", "cpu"); ("mobilenet_v1_025", "digital");
     ("toyadmos_dae", "analog"); ("resnet8", "both") ]
@@ -68,9 +131,7 @@ let test_zoo_differential () =
       let inputs = Models.Zoo.random_input ~seed:Check.Golden.input_seed g in
       let label = model ^ "/" ^ config in
       let tr_slow = Trace.create () and tr_fast = Trace.create () in
-      let out_slow, rep_slow =
-        C.run ~trace:tr_slow ~use_plan:false artifact ~inputs
-      in
+      let out_slow, rep_slow = oracle ~trace:tr_slow artifact ~inputs in
       let out_fast, rep_fast = C.run ~trace:tr_fast artifact ~inputs in
       compare_outputs label out_slow out_fast;
       compare_reports label rep_slow rep_fast;
@@ -78,10 +139,11 @@ let test_zoo_differential () =
       (* Arena reuse across requests must not leak state: a second request
          with a different input still matches its own slow run. *)
       let inputs2 = Models.Zoo.random_input ~seed:(Check.Golden.input_seed + 1) g in
-      let out_slow2, rep_slow2 = C.run ~use_plan:false artifact ~inputs:inputs2 in
+      let out_slow2, rep_slow2 = oracle artifact ~inputs:inputs2 in
       let out_fast2, rep_fast2 = C.run artifact ~inputs:inputs2 in
       compare_outputs (label ^ " (2nd request)") out_slow2 out_fast2;
-      compare_reports (label ^ " (2nd request)") rep_slow2 rep_fast2)
+      compare_reports (label ^ " (2nd request)") rep_slow2 rep_fast2;
+      List.iter (fault_differential label artifact ~inputs) fault_plans)
     zoo_cases
 
 (* Random graphs x random deployment configs: the fuzz generator's whole
@@ -97,7 +159,7 @@ let test_random_differential () =
     | Ok artifact -> (
         let label = Printf.sprintf "seed %d" seed in
         let inputs = Models.Zoo.random_input ~seed g in
-        match C.run ~use_plan:false artifact ~inputs with
+        match oracle artifact ~inputs with
         | exception e -> (
             (* If the slow oracle rejects the run, the plan path must fail
                identically — never silently produce bytes. *)
@@ -155,40 +217,35 @@ let test_arena_reuse () =
   Alcotest.(check bool) "L1 reused" true (l1a == l1b);
   let l2c, _ = Sim.Plan.checkout ~fresh:true plan in
   Alcotest.(check bool) "fresh discards the cache" true (not (l2c == l2a));
-  (* plan_fresh_arena reaches the same bytes through new allocations. *)
+  (* A run on a freshly allocated arena reaches the same bytes. *)
   let inputs = Models.Zoo.random_input ~seed:3 g in
   let out_reuse, rep_reuse = C.run artifact ~inputs in
-  let out_fresh, rep_fresh =
-    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~plan
-      ~plan_fresh_arena:true artifact.C.program ~inputs
-  in
+  ignore (Sim.Plan.checkout ~fresh:true plan);
+  let out_fresh, rep_fresh = C.run artifact ~inputs in
   compare_outputs "fresh arena" out_reuse out_fresh;
   compare_reports "fresh arena" rep_reuse rep_fresh
 
-(* A plan passed alongside a fault session is ignored, not consulted:
-   the run is byte-identical to the plain slow path under the same
-   session, and detected faults still cost retry cycles. *)
-let test_plan_dropped_under_faults () =
-  let artifact, g = Lazy.force digital_artifact in
-  let inputs = Models.Zoo.random_input ~seed:5 g in
-  let plan_spec = "seed=11,dma_in@every=3:flip" in
-  let session () =
-    Fault.Session.create (Result.get_ok (Fault.Plan.of_string plan_spec))
-  in
-  let out_slow, rep_slow =
-    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~faults:(session ())
-      artifact.C.program ~inputs
-  in
-  let out_plan, rep_plan =
-    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~faults:(session ())
-      ~plan:artifact.C.plan artifact.C.program ~inputs
-  in
-  compare_outputs "faults" out_slow out_plan;
-  compare_reports "faults" rep_slow rep_plan;
-  Alcotest.(check bool) "faults were actually injected" true
-    (rep_slow.Sim.Machine.totals.Sim.Counters.faults_detected > 0)
+(* The chaos campaign's own cases: random graphs and configs (a quarter
+   with a degraded accelerator) under their random fault plan and one
+   hand-written plan drawn from the table above. *)
+let prop_chaos_fault_differential =
+  Helpers.qtest ~count:100 "plan = oracle under chaos fault plans"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let cfg = { (Check.Gen.chaos_config seed) with C.solver_cache = None } in
+      let g = Check.Gen.generate seed in
+      (match C.compile cfg g with
+      | Error _ -> ()
+      | Ok artifact ->
+          let inputs = Models.Zoo.random_input ~seed g in
+          let label = Printf.sprintf "chaos seed %d" seed in
+          fault_differential label artifact ~inputs (Check.Gen.random_fault_plan seed);
+          fault_differential label artifact ~inputs
+            (List.nth fault_plans (seed mod List.length fault_plans)));
+      true)
 
-(* Physical identity between plan and program is enforced. *)
+(* Physical identity between plan and program is enforced, under a fault
+   session too. *)
 let test_foreign_plan_rejected () =
   let artifact, g = Lazy.force digital_artifact in
   let cfg =
@@ -197,12 +254,15 @@ let test_foreign_plan_rejected () =
   in
   let artifact2 = Result.get_ok (C.compile cfg g) in
   let inputs = Models.Zoo.random_input ~seed:3 g in
-  match
-    Sim.Machine.run ~platform:artifact.C.cfg.C.platform ~plan:artifact.C.plan
-      artifact2.C.program ~inputs
-  with
-  | _ -> Alcotest.fail "a foreign plan was accepted"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun faults ->
+      match
+        Sim.Machine.run ~platform:artifact.C.cfg.C.platform ?faults
+          ~plan:artifact.C.plan artifact2.C.program ~inputs
+      with
+      | _ -> Alcotest.fail "a foreign plan was accepted"
+      | exception Invalid_argument _ -> ())
+    [ None; Some (Fault.Session.create (List.hd fault_plans)) ]
 
 let suites =
   [ ( "plan",
@@ -210,8 +270,7 @@ let suites =
         Alcotest.test_case "random differential" `Quick test_random_differential;
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
-        Alcotest.test_case "plan dropped under faults" `Quick
-          test_plan_dropped_under_faults;
+        prop_chaos_fault_differential;
         Alcotest.test_case "foreign plan rejected" `Quick
           test_foreign_plan_rejected;
       ] )

@@ -211,17 +211,6 @@ let test_digest_matches_direct_run () =
       | _ -> Alcotest.fail "expected served")
     r.Serve.r_outcomes
 
-(* The compiled-plan fast path is invisible at the serve level: the
-   functional tally is byte-identical with plans disabled. *)
-let test_tally_plan_invariant () =
-  let on = Serve.tally (serve ~cfg:base ()) in
-  let off = Serve.tally (serve ~cfg:{ base with Serve.use_plan = false } ()) in
-  Alcotest.(check string) "plan on/off tallies identical" on off;
-  let faulty = { base with Serve.plan = flip_plan; retry_budget = 2 } in
-  Alcotest.(check string) "under faults too"
-    (Serve.tally (serve ~cfg:faulty ()))
-    (Serve.tally (serve ~cfg:{ faulty with Serve.use_plan = false } ()))
-
 (* input_mix folds request seeds onto a small pool without disturbing the
    arrival stream: scheduling is unchanged at any mix, and the tally's
    distinct-input count collapses to at most the pool size. *)
@@ -447,8 +436,6 @@ let suites =
           test_abort_on_exhausted_retries;
         Alcotest.test_case "digests match direct runs" `Quick
           test_digest_matches_direct_run;
-        Alcotest.test_case "tally invariant over plan path" `Quick
-          test_tally_plan_invariant;
         Alcotest.test_case "input mix" `Quick test_input_mix;
         Alcotest.test_case "memoize" `Quick test_memoize;
         Alcotest.test_case "percentiles" `Quick test_percentiles;

@@ -44,7 +44,6 @@ let single =
         retry_budget = 5;
         degrade_after = Some 1;
       } );
-    ("no-plan", { base with Serve.workers = 3; use_plan = false });
   ]
 
 let mt_base =
