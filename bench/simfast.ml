@@ -5,8 +5,8 @@
    memoization hit path — while asserting the byte-identity contract:
    output digests and simulated cycle counts must not move at all, and a
    request under a fault plan that fires on every site must give the same
-   digest, counters and session stats on both paths. Dumps
-   BENCH_simfast.json. *)
+   digest, counters and session stats on both paths. Fails when no tile
+   runs the ternary tap kernel. Dumps BENCH_simfast.json. *)
 
 module J = Trace.Json
 module C = Htvm.Compile
@@ -92,6 +92,12 @@ let run_simfast ~smoke () =
     stats.Fault.Session.detected = 0 || stats.Fault.Session.silent = 0
     || stats.Fault.Session.stall_cycles = 0
   then fail "the fault plan left a detected, silent or stall fault unfired";
+  (* resnet8/mixed runs its inner convs on the analog array: a plan that
+     puts none of them on the tap kernel has fallen back to the dense
+     multiply loop. *)
+  let plan_stats = Sim.Plan.stats artifact.C.plan in
+  if plan_stats.Sim.Plan.ternary_tiles = 0 then
+    fail "no tile runs the ternary tap kernel (silent fallback to the dense loop)";
   let speedup = slow_ms /. fast_ms in
   let arena_gain = noarena_ms /. fast_ms in
   Printf.printf "  slow oracle   : %8.2f ms/request\n%!" slow_ms;
@@ -99,6 +105,8 @@ let run_simfast ~smoke () =
   Printf.printf "  plan, no arena: %8.2f ms/request  (arena worth %.2fx)\n%!"
     noarena_ms arena_gain;
   Printf.printf "  digests + cycles byte-identical across all paths\n%!";
+  Printf.printf "  plan: %d tile(s), %d on the ternary tap kernel\n%!"
+    plan_stats.Sim.Plan.tiles plan_stats.Sim.Plan.ternary_tiles;
   Printf.printf "  under faults: plan = oracle (%s)\n%!"
     (String.concat ", "
        (List.map
@@ -133,11 +141,12 @@ let run_simfast ~smoke () =
     Printf.eprintf "simfast bench: memoize hit path never taken\n";
     exit 1
   end;
-  let stats = Sim.Plan.stats artifact.C.plan in
   let doc =
     J.Obj
       [ ("model", J.Str Models.Resnet8.name);
         ("platform", J.Str "diana (digital + analog)");
+        ("nproc", J.Int (Util.Pool.available ()));
+        ("ocaml_version", J.Str Sys.ocaml_version);
         ("repeats", J.Int repeats);
         ("slow_ms_per_request", J.Float slow_ms);
         ("plan_ms_per_request", J.Float fast_ms);
@@ -149,10 +158,11 @@ let run_simfast ~smoke () =
         ("digests_identical", J.Bool true);
         ( "plan_stats",
           J.Obj
-            [ ("accel_steps", J.Int stats.Sim.Plan.accel_steps);
-              ("tiles", J.Int stats.Sim.Plan.tiles);
-              ("scratch_words", J.Int stats.Sim.Plan.scratch_words);
-              ("image_bytes", J.Int stats.Sim.Plan.image_bytes) ] );
+            [ ("accel_steps", J.Int plan_stats.Sim.Plan.accel_steps);
+              ("tiles", J.Int plan_stats.Sim.Plan.tiles);
+              ("scratch_words", J.Int plan_stats.Sim.Plan.scratch_words);
+              ("image_bytes", J.Int plan_stats.Sim.Plan.image_bytes);
+              ("ternary_tiles", J.Int plan_stats.Sim.Plan.ternary_tiles) ] );
         ( "memoize",
           J.Obj
             [ ("off_ms_per_run", J.Float memo_off_ms);

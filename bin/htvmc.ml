@@ -1182,7 +1182,7 @@ let inject_arg =
   Arg.(value & opt (some string) None
        & info [ "inject" ] ~docv:"SPEC"
            ~doc:"Run under a fault-injection campaign, e.g. \
-                 $(b,seed=42,dma_in\\@every=5:drop,l2\\@nth=3:flip). \
+                 $(b,seed=42,dma_in@every=5:drop,l2@nth=3:flip). \
                  $(b,none) is an explicit empty campaign (a strict no-op).")
 let faults_file_arg =
   Arg.(value & opt (some string) None

@@ -145,6 +145,7 @@ let to_json_value ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.arti
             ("tiles", J.Int ps.Sim.Plan.tiles);
             ("scratch_words", J.Int ps.Sim.Plan.scratch_words);
             ("image_bytes", J.Int ps.Sim.Plan.image_bytes);
+            ("ternary_tiles", J.Int ps.Sim.Plan.ternary_tiles);
           ] );
     ]
     @ demotions_json
@@ -218,10 +219,10 @@ let to_markdown ?(energy = Sim.Energy.diana_defaults) (artifact : Compile.artifa
       sv.Compile.ss_cache_misses;
   let ps = Sim.Plan.stats artifact.Compile.plan in
   add
-    "- execution plan: %d accelerator step(s), %d tile instance(s), %d scratch \
-     words, %d B weight image\n"
-    ps.Sim.Plan.accel_steps ps.Sim.Plan.tiles ps.Sim.Plan.scratch_words
-    ps.Sim.Plan.image_bytes;
+    "- execution plan: %d accelerator step(s), %d tile instance(s) (%d on the \
+     ternary tap kernel), %d scratch words, %d B weight image\n"
+    ps.Sim.Plan.accel_steps ps.Sim.Plan.tiles ps.Sim.Plan.ternary_tiles
+    ps.Sim.Plan.scratch_words ps.Sim.Plan.image_bytes;
   (match artifact.Compile.demotions with
   | [] -> ()
   | ds ->

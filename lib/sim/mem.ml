@@ -35,16 +35,20 @@ let sign_extend bits v =
   let shift = Sys.int_size - bits in
   (v lsl shift) asr shift
 
+(* Ternary occupies a full byte but only {-1,0,1} is valid, so bit rot
+   ([flip_bit]) can leave a byte no fault-free flow ever stores. Fold it
+   back into range deterministically: silent corruption must stay silent,
+   not crash tensor validation on the read path. Tabulated per byte value,
+   so the bulk decode is one load per element. *)
+let ternary_of_byte =
+  Array.init 256 (fun b ->
+      let v = sign_extend 8 b in
+      if v >= -1 && v <= 1 then v else (((v mod 3) + 3) mod 3) - 1)
+
 let read_elt t (dt : Tensor.Dtype.t) off =
   match dt with
   | Tensor.Dtype.I8 -> sign_extend 8 (read_byte t off)
-  | Tensor.Dtype.Ternary ->
-      (* Ternary occupies a full byte but only {-1,0,1} is valid, so bit
-         rot ([flip_bit]) can leave a byte no fault-free flow ever stores.
-         Fold it back into range deterministically: silent corruption must
-         stay silent, not crash tensor validation on the read path. *)
-      let v = sign_extend 8 (read_byte t off) in
-      if v >= -1 && v <= 1 then v else (((v mod 3) + 3) mod 3) - 1
+  | Tensor.Dtype.Ternary -> ternary_of_byte.(read_byte t off)
   | Tensor.Dtype.U7 -> read_byte t off land 0x7F
   | Tensor.Dtype.I16 ->
       check t off 2;
@@ -82,12 +86,6 @@ let blit ~src ~src_off ~dst ~dst_off ~len =
   touch dst dst_off len;
   Bytes.blit src.data src_off dst.data dst_off len
 
-let write_tensor t off tensor =
-  let dt = Tensor.dtype tensor in
-  let w = Tensor.Dtype.sim_bytes dt in
-  check t off (Tensor.numel tensor * w);
-  Tensor.iteri_flat (fun i v -> write_elt t dt (off + (i * w)) v) tensor
-
 let read_tensor t off dt shape =
   let w = Tensor.Dtype.sim_bytes dt in
   let n = Array.fold_left ( * ) 1 shape in
@@ -118,9 +116,8 @@ let read_flat_into t (dt : Tensor.Dtype.t) off dst ~pos ~len =
       done
   | Tensor.Dtype.Ternary ->
       for i = 0 to len - 1 do
-        let v = sign_extend 8 (Char.code (Bytes.unsafe_get data (off + i))) in
-        let v = if v >= -1 && v <= 1 then v else (((v mod 3) + 3) mod 3) - 1 in
-        Array.unsafe_set dst (pos + i) v
+        Array.unsafe_set dst (pos + i)
+          (Array.unsafe_get ternary_of_byte (Char.code (Bytes.unsafe_get data (off + i))))
       done
   | Tensor.Dtype.U7 ->
       for i = 0 to len - 1 do
@@ -152,6 +149,9 @@ let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
   check t off (len * w);
   let data = t.data in
   let range_fault v i =
+    (* As with a [write_elt] per element: the elements before [i] are
+       written, so the high-water mark covers them. *)
+    if i > 0 then touch t off (i * w);
     raise
       (Fault
          (Printf.sprintf "%s: value %d out of range for %s at offset %d" t.mem_name v
@@ -184,6 +184,12 @@ let write_flat_from t (dt : Tensor.Dtype.t) off src ~pos ~len =
         Bytes.unsafe_set data (o + 3) (Char.unsafe_chr ((v asr 24) land 0xFF))
       done);
   touch t off (len * w)
+
+(* One range check and the bulk loop; the same bytes, [Fault]s and
+   high-water mark as a [write_elt] per element. *)
+let write_tensor t off tensor =
+  write_flat_from t (Tensor.dtype tensor) off (Tensor.unsafe_data tensor) ~pos:0
+    ~len:(Tensor.numel tensor)
 
 let fill t v = Bytes.fill t.data 0 (Bytes.length t.data) (Char.chr (v land 0xFF))
 

@@ -42,7 +42,8 @@ val blit : src:t -> src_off:int -> dst:t -> dst_off:int -> len:int -> unit
 (** Raw byte copy (the DMA's contiguous-chunk primitive). *)
 
 val write_tensor : t -> int -> Tensor.t -> unit
-(** Serialize a whole tensor row-major at a byte offset. *)
+(** Serialize a whole tensor row-major at a byte offset: one bounds check,
+    then {!write_flat_from} over the tensor's payload. *)
 
 val read_tensor : t -> int -> Tensor.Dtype.t -> int array -> Tensor.t
 (** Deserialize a tensor of the given dtype/shape from a byte offset. *)
@@ -59,7 +60,9 @@ val write_flat_from : t -> Tensor.Dtype.t -> int -> int array -> pos:int -> len:
     [src.(pos..pos+len-1)] as [len] consecutive elements of dtype [dt] at
     byte offset [off]. Element-for-element equivalent to [write_elt] in a
     loop: each value is range-checked ({!Fault} on violation) and the
-    high-water mark advances over the written range. *)
+    high-water mark advances over the written range. On a violation the
+    elements before it stay written and the high-water mark covers them,
+    as [write_elt] would have left it. *)
 
 val fill : t -> int -> unit
 (** Fill the whole memory with a byte value (tests use a poison pattern). *)

@@ -8,9 +8,10 @@ module K = Nn.Kernels
 (* A compiled execution plan resolves, once per artifact, everything the
    per-request slow path ([Exec_accel.run]) recomputes per request: tile
    instance dims, L1 slot layouts, DMA window geometry as flat blit lists,
-   weight/bias slices as decoded flat arrays, padded-input shapes, the
-   per-step counters and the trace timeline. The per-request loop is then
-   pure data movement and kernel math over preallocated scratch arenas.
+   weight/bias slices as decoded flat arrays (ternary conv weights as tap
+   tables), padded-input shapes, the per-step counters and the trace
+   timeline. The per-request loop is then pure data movement and kernel
+   math over preallocated scratch arenas.
 
    Byte-identity contract (enforced by the golden snapshots and the
    plan/oracle differential tests): for every run of a well-formed
@@ -19,7 +20,8 @@ module K = Nn.Kernels
    marks and session draws. The proof obligations live next to each piece
    below; the load-bearing one is that integer addition is exact, so
    summing over a zero-padded input in a dense loop equals the slow path's
-   bounds-checked sum. *)
+   bounds-checked sum, and dropping the zero taps of a ternary kernel and
+   turning its +-1 products into adds and subtracts changes nothing. *)
 
 (* --- Plan data types ---------------------------------------------------- *)
 
@@ -36,6 +38,20 @@ type epilogue = {
   ep_oy : int;  (* final (post-pool) output dims *)
   ep_ox : int;
 }
+
+(* A conv tile's weights; the weight dtype picks the representation and
+   with it the kernel. Ternary weights become tap tables: for output
+   channel [ko] of the tile, [tp_off.(tp_idx.(2ko)) .. tp_off.(tp_idx.(2ko+1) - 1)]
+   are the padded-input offsets of its +1 taps and the entries up to
+   [tp_idx.(2ko+2) - 1] those of its -1 taps, each offset
+   [((grp * cg + ci) * h * w) + (ky * w) + kx] relative to the output
+   pixel's window origin. Zero taps are dropped. *)
+type conv_weights =
+  | Dense_w of {
+      wdata : int array;  (* full decoded weights *)
+      woff : int;  (* flat element offset of the k0 slice *)
+    }
+  | Taps of { tp_off : int array; tp_idx : int array }
 
 type compute =
   | CConv of {
@@ -55,8 +71,7 @@ type compute =
       cv_groups : int;
       cv_oh : int;  (* pre-pool conv output dims on the padded input *)
       cv_ow : int;
-      cv_wdata : int array;  (* full decoded weights *)
-      cv_woff : int;  (* flat element offset of the k0 slice *)
+      cv_weights : conv_weights;
       cv_in_dtype : Dtype.t;
       cv_ep : epilogue;
     }
@@ -151,6 +166,7 @@ type stats = {
   tiles : int;
   scratch_words : int;
   image_bytes : int;
+  ternary_tiles : int;
 }
 
 let program t = t.p_prog
@@ -162,6 +178,18 @@ let stats t =
     tiles = t.p_tiles;
     scratch_words = t.p_scratch_words;
     image_bytes = Bytes.length t.p_l2_image;
+    ternary_tiles =
+      Array.fold_left
+        (fun n -> function
+          | None -> n
+          | Some a ->
+              Array.fold_left
+                (fun n i ->
+                  match i.i_compute with
+                  | CConv { cv_weights = Taps _; _ } -> n + 1
+                  | CConv _ | CDense _ | CAdd _ | CPool _ -> n)
+                n a.a_insts)
+        0 t.p_steps;
   }
 
 (* --- Build-time geometry ------------------------------------------------- *)
@@ -273,6 +301,131 @@ let conv_kernel ~cv_h:_ ~cv_w ~cv_k ~cv_cg ~cv_fy ~cv_fx ~cv_sy ~cv_sx ~cv_group
       done
     done
   done
+
+(* Tap tables of output channels [k0 .. k0 + k - 1] of ternary weights
+   (see [conv_weights]) for a padded input of row width [w] and channel
+   plane [chw]; [read ch buf] decodes channel [ch]'s weights into [buf].
+   A first pass counts the nonzero taps so that the one array kept is
+   allocated at its exact size. The second pass is branch-free: every tap
+   is stored into both buffers and only the matching cursor advances,
+   because the zeros of a ternary tensor (about half of it) defeat a
+   branch predictor. Relies on every weight being in {-1, 0, 1}, which
+   [Mem]'s ternary decode guarantees even after bit rot. *)
+let build_taps ~read ~k0 ~k ~kpg ~cg ~fy ~fx ~chw ~w =
+  let per_k = cg * fy * fx in
+  let wk = Array.make per_k 0 in
+  let nnz = ref 0 in
+  for ko = 0 to k - 1 do
+    read (k0 + ko) wk;
+    for j = 0 to per_k - 1 do
+      nnz := !nnz + (Array.unsafe_get wk j land 1)
+    done
+  done;
+  (* Offset of tap j of a group-0 output channel. *)
+  let rel = Array.make per_k 0 in
+  for ci = 0 to cg - 1 do
+    for ky = 0 to fy - 1 do
+      for kx = 0 to fx - 1 do
+        rel.((((ci * fy) + ky) * fx) + kx) <- (ci * chw) + (ky * w) + kx
+      done
+    done
+  done;
+  let offs = Array.make !nnz 0 and idx = Array.make ((2 * k) + 1) 0 in
+  let pos = Array.make per_k 0 and neg = Array.make per_k 0 in
+  let n = ref 0 in
+  for ko = 0 to k - 1 do
+    read (k0 + ko) wk;
+    let grp_base = ko / kpg * cg * chw in
+    let ip = ref 0 and ineg = ref 0 in
+    for j = 0 to per_k - 1 do
+      let wt = Array.unsafe_get wk j in
+      let off = grp_base + Array.unsafe_get rel j in
+      Array.unsafe_set pos !ip off;
+      Array.unsafe_set neg !ineg off;
+      ip := !ip + ((wt + 1) lsr 1);
+      ineg := !ineg + ((1 - wt) lsr 1)
+    done;
+    idx.(2 * ko) <- !n;
+    Array.blit pos 0 offs !n !ip;
+    idx.((2 * ko) + 1) <- !n + !ip;
+    Array.blit neg 0 offs (!n + !ip) !ineg;
+    n := !n + !ip + !ineg;
+    idx.((2 * ko) + 2) <- !n
+  done;
+  (offs, idx)
+
+(* Sum of [pin.(base + tp_off.(j))] for [j] in [a, b), unrolled by four. *)
+let[@inline] sum_taps pin base tp_off a b =
+  let s = ref 0 and j = ref a in
+  while !j < b - 3 do
+    let jj = !j in
+    s :=
+      !s
+      + Array.unsafe_get pin (base + Array.unsafe_get tp_off jj)
+      + Array.unsafe_get pin (base + Array.unsafe_get tp_off (jj + 1))
+      + Array.unsafe_get pin (base + Array.unsafe_get tp_off (jj + 2))
+      + Array.unsafe_get pin (base + Array.unsafe_get tp_off (jj + 3));
+    j := jj + 4
+  done;
+  for jj = !j to b - 1 do
+    s := !s + Array.unsafe_get pin (base + Array.unsafe_get tp_off jj)
+  done;
+  !s
+
+(* Ternary conv as add/sub over the tap tables: no multiplies and no zero
+   taps. Exact for the same reason as [conv_kernel]: integer addition is
+   exact, so dropping taps whose product is 0 and summing the rest in any
+   order gives the slow path's sum. *)
+let taps_kernel ~cv_w ~cv_k ~cv_sy ~cv_sx ~cv_oh ~cv_ow ~tp_off ~tp_idx pin acc =
+  for ko = 0 to cv_k - 1 do
+    let p0 = tp_idx.(2 * ko)
+    and p1 = tp_idx.((2 * ko) + 1)
+    and p2 = tp_idx.((2 * ko) + 2) in
+    for oy = 0 to cv_oh - 1 do
+      let out_row = ((ko * cv_oh) + oy) * cv_ow in
+      let in_row = oy * cv_sy * cv_w in
+      for ox = 0 to cv_ow - 1 do
+        let base = in_row + (ox * cv_sx) in
+        Array.unsafe_set acc (out_row + ox)
+          (sum_taps pin base tp_off p0 p1 - sum_taps pin base tp_off p1 p2)
+      done
+    done
+  done
+
+let ternary_conv2d ~input ~weights ~stride:(sy, sx) ~groups ~pads:(pt, pb, pl, pr) =
+  if Tensor.dtype weights <> Dtype.Ternary then
+    invalid_arg "Plan.ternary_conv2d: weights are not ternary";
+  let c = Tensor.dim input 0 and h = Tensor.dim input 1 and w = Tensor.dim input 2 in
+  let k = Tensor.dim weights 0 and cg = Tensor.dim weights 1 in
+  let fy = Tensor.dim weights 2 and fx = Tensor.dim weights 3 in
+  let ph = pt + h + pb and pw = pl + w + pr in
+  if
+    groups <= 0 || cg * groups <> c || k mod groups <> 0 || sy <= 0 || sx <= 0
+    || min (min pt pb) (min pl pr) < 0 || ph < fy || pw < fx
+  then invalid_arg "Plan.ternary_conv2d: bad geometry";
+  let oh, ow =
+    K.conv_out_dims ~in_dims:(ph, pw) ~kernel:(fy, fx)
+      { K.stride = (sy, sx); padding = (0, 0); groups }
+  in
+  let pin = Array.make (c * ph * pw) 0 in
+  for ch = 0 to c - 1 do
+    for r = 0 to h - 1 do
+      Array.blit (Tensor.unsafe_data input)
+        (((ch * h) + r) * w)
+        pin
+        ((((ch * ph) + pt + r) * pw) + pl)
+        w
+    done
+  done;
+  let per_k = cg * fy * fx in
+  let read ch buf = Array.blit (Tensor.unsafe_data weights) (ch * per_k) buf 0 per_k in
+  let tp_off, tp_idx =
+    build_taps ~read ~k0:0 ~k ~kpg:(k / groups) ~cg ~fy ~fx ~chw:(ph * pw) ~w:pw
+  in
+  let acc = Array.make (k * oh * ow) 0 in
+  taps_kernel ~cv_w:pw ~cv_k:k ~cv_sy:sy ~cv_sx:sx ~cv_oh:oh ~cv_ow:ow ~tp_off ~tp_idx
+    pin acc;
+  Tensor.of_array Dtype.I32 [| k; oh; ow |] acc
 
 let dense_kernel ~dn_c ~dn_k ~wdata ~woff pin acc =
   for ko = 0 to dn_k - 1 do
@@ -404,9 +557,18 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
             List.map (fun id -> (P.buffer prog id).P.l2_offset) ins
           in
           let out_offset = (P.buffer prog out).P.l2_offset in
+          (* Ternary conv weights are read per output channel into tap
+             tables and never decoded whole. *)
+          let ternary =
+            match (l.L.kind, l.L.weights) with
+            | L.Conv _, Some w -> Tensor.dtype w = Dtype.Ternary
+            | _ -> false
+          in
           let wdata, per_k_elems =
             match l.L.weights with
-            | Some w -> (decode_tensor l2b weights_offset w, Tensor.numel w / Tensor.dim w 0)
+            | Some w ->
+                ( (if ternary then [||] else decode_tensor l2b weights_offset w),
+                  Tensor.numel w / Tensor.dim w 0 )
             | None -> ([||], 0)
           in
           let bdata =
@@ -415,6 +577,29 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
             | None -> None
           in
           let dw = L.is_depthwise l in
+          (* Tiles that share a k slice and a padded shape share their tap
+             tables. *)
+          let taps_memo = Hashtbl.create 4 in
+          let conv_weights ~k0 ~k ~groups ~cg ~fy ~fx ~ph ~pw =
+            if not ternary then Dense_w { wdata; woff = k0 * per_k_elems }
+            else
+              let key = (k0, k, ph, pw) in
+              match Hashtbl.find_opt taps_memo key with
+              | Some taps -> taps
+              | None ->
+                  let read ch buf =
+                    Mem.read_flat_into l2b Dtype.Ternary
+                      (weights_offset + (ch * per_k_elems * Dtype.sim_bytes Dtype.Ternary))
+                      buf ~pos:0 ~len:per_k_elems
+                  in
+                  let tp_off, tp_idx =
+                    build_taps ~read ~k0 ~k ~kpg:(k / groups) ~cg ~fy ~fx
+                      ~chw:(ph * pw) ~w:pw
+                  in
+                  let taps = Taps { tp_off; tp_idx } in
+                  Hashtbl.add taps_memo key taps;
+                  taps
+          in
           let elt_in = Dtype.sim_bytes l.L.in_dtype in
           let elt_out = Dtype.sim_bytes l.L.out_dtype in
           let insts = Array.of_list s.S.instances in
@@ -549,8 +734,9 @@ let build_astep ~platform ~l2b ~prog ~accel_name ~(s : S.t) ~ins ~out
                             cv_groups = groups;
                             cv_oh = oh;
                             cv_ow = ow;
-                            cv_wdata = wdata;
-                            cv_woff = inst.S.k0 * per_k_elems;
+                            cv_weights =
+                              conv_weights ~k0:inst.S.k0 ~k:d.Tile.k ~groups ~cg ~fy
+                                ~fx ~ph ~pw;
                             cv_in_dtype = l.L.in_dtype;
                             cv_ep = ep;
                           },
@@ -798,10 +984,15 @@ let exec_compute ~l1 inst scr =
       fill_padded ~l1 ~dtype:cv.cv_in_dtype ~l1_off:inst.i_in_off ~dst:scr.sc_pin
         ~chans:cv.cv_chans ~rows:cv.cv_rows ~cols:cv.cv_cols ~ph:cv.cv_h
         ~pw:cv.cv_w ~pt:cv.cv_pt ~pl:cv.cv_pl;
-      conv_kernel ~cv_h:cv.cv_h ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
-        ~cv_fy:cv.cv_fy ~cv_fx:cv.cv_fx ~cv_sy:cv.cv_sy ~cv_sx:cv.cv_sx
-        ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow ~wdata:cv.cv_wdata
-        ~woff:cv.cv_woff ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc;
+      (match cv.cv_weights with
+      | Dense_w { wdata; woff } ->
+          conv_kernel ~cv_h:cv.cv_h ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_cg:cv.cv_cg
+            ~cv_fy:cv.cv_fy ~cv_fx:cv.cv_fx ~cv_sy:cv.cv_sy ~cv_sx:cv.cv_sx
+            ~cv_groups:cv.cv_groups ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow ~wdata ~woff
+            ~chw:(cv.cv_h * cv.cv_w) scr.sc_pin scr.sc_acc
+      | Taps { tp_off; tp_idx } ->
+          taps_kernel ~cv_w:cv.cv_w ~cv_k:cv.cv_k ~cv_sy:cv.cv_sy ~cv_sx:cv.cv_sx
+            ~cv_oh:cv.cv_oh ~cv_ow:cv.cv_ow ~tp_off ~tp_idx scr.sc_pin scr.sc_acc);
       run_epilogue cv.cv_ep scr.sc_acc scr.sc_out;
       Mem.write_flat_from l1 inst.i_out_dtype inst.i_out_off scr.sc_out ~pos:0
         ~len:inst.i_out_len
@@ -843,7 +1034,8 @@ let run_accel_step plan ~step_index ~l2 ~l1 ?trace ?faults ?(retry_budget = 3)
   (match a.a_fail with Some e -> raise e | None -> ());
   (* The slow path reads weights and bias from live L2 on every tile, so
      after L2 bit rot they are re-decoded from [l2]. Geometry and scratch
-     sizes do not depend on L2 contents: only the decoded copies change. *)
+     sizes do not depend on L2 contents: only the decoded copies
+     and tap tables change. *)
   let a =
     if l2_rotted then
       Option.get

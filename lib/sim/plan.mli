@@ -7,6 +7,17 @@
     per-step counters and the trace timeline — so that the per-request loop
     is pure data movement and kernel math over preallocated scratch.
 
+    Which conv kernel runs is decided by the weight dtype. Int8 convs
+    multiply over the decoded dense weights. Ternary convs (DIANA's analog
+    array) keep no dense copy: per output channel of the tile the build
+    stores the offsets of the +1 taps and of the -1 taps into the
+    zero-padded input, [((grp * cg + ci) * h * w) + (ky * w) + kx], and
+    drops the zero taps, so each output pixel is a sum of adds minus a sum
+    of subtracts with no multiplies. This is exact: every dropped tap
+    contributes [x * 0 = 0], every kept one [x * (+-1) = +-x], and integer
+    addition does not depend on order. [stats.ternary_tiles] counts the
+    tiles on this kernel.
+
     Scratch lives in a per-domain {e arena} (keyed off the plan with
     [Domain.DLS]): reused L2/L1 memories plus per-tile padded-input,
     accumulator and output buffers, reset between requests instead of
@@ -29,6 +40,9 @@ type stats = {
   tiles : int;  (** precomputed tile instances across all steps *)
   scratch_words : int;  (** per-arena scratch footprint, in [int] words *)
   image_bytes : int;  (** size of the captured L2 weight image *)
+  ternary_tiles : int;
+      (** conv tiles run by the ternary add/sub tap kernel rather than the
+          dense multiply loop *)
 }
 
 val build : platform:Arch.Platform.t -> Program.t -> t
@@ -43,6 +57,21 @@ val program : t -> Program.t
     equality). *)
 
 val stats : t -> stats
+
+val ternary_conv2d :
+  input:Tensor.t ->
+  weights:Tensor.t ->
+  stride:int * int ->
+  groups:int ->
+  pads:int * int * int * int ->
+  Tensor.t
+(** The plan's ternary tap kernel as a standalone convolution, for
+    differential tests against {!Nn.Kernels.conv2d}: zero-pads [input]
+    ([(top, bottom, left, right)], which may be asymmetric as in a tile at
+    a layer edge), builds the tap tables of [weights] and runs the add/sub
+    loop. Returns the [I32] accumulator [[|k; oh; ow|]].
+    @raise Invalid_argument when [weights] are not ternary or the geometry
+    is inconsistent. *)
 
 val checkout : ?fresh:bool -> t -> Mem.t * Mem.t
 (** [(l2, l1)] of the calling domain's arena, rewound to the exact state a
@@ -76,7 +105,8 @@ val run_accel_step :
     and [retry_cycles + fault_stall] extend the returned wall.
     [retry_budget] defaults to 3. [l2_rotted] (default false) says L2 bit
     rot fired earlier in this request: the step then re-decodes its
-    weights and bias from [l2], as the oracle reads them on every tile.
+    weights and bias (and rebuilds its tap tables) from [l2], as the
+    oracle reads them on every tile.
     @raise Invalid_argument when the step is a CPU step.
     @raise Fault.Session.Unrecovered past the retry budget.
     @raise Mem.Fault / [Invalid_argument] with the slow path's exception

@@ -204,6 +204,8 @@ let test_stats () =
     (stats.Sim.Plan.tiles >= stats.Sim.Plan.accel_steps);
   Alcotest.(check bool) "scratch allocated" true (stats.Sim.Plan.scratch_words > 0);
   Alcotest.(check bool) "weight image captured" true (stats.Sim.Plan.image_bytes > 0);
+  Alcotest.(check int) "int8 convs stay on the dense kernel" 0
+    stats.Sim.Plan.ternary_tiles;
   Alcotest.(check bool) "program identity" true
     (Sim.Plan.program artifact.C.plan == artifact.C.program)
 
@@ -244,6 +246,102 @@ let prop_chaos_fault_differential =
             (List.nth fault_plans (seed mod List.length fault_plans)));
       true)
 
+(* The ternary tap kernel against the reference convolution over random
+   ternary weights, groups, strides 1 and 2, asymmetric padding, fy <> fx
+   and 1x1 FC-as-conv shapes. The reference runs on the explicitly padded
+   input (and, when the padding is symmetric, on the raw input with
+   [padding] set). *)
+type tap_case = {
+  tc_input : Tensor.t;
+  tc_weights : Tensor.t;
+  tc_stride : int * int;
+  tc_groups : int;
+  tc_pads : int * int * int * int;
+}
+
+let gen_tap_case =
+  let open QCheck.Gen in
+  let conv =
+    int_range 1 3 >>= fun groups ->
+    quad (int_range 1 3) (int_range 1 3) (int_range 1 3) (int_range 1 3)
+    >>= fun (cg, kpg, fy, fx) ->
+    quad (int_range 0 2) (int_range 0 2) (int_range 0 2) (int_range 0 2)
+    >>= fun pads ->
+    pair (int_range 1 2) (int_range 1 2) >>= fun stride ->
+    pair (int_range 1 7) (int_range 1 7) >|= fun (h, w) ->
+    let pt, pb, pl, pr = pads in
+    (* At least one output pixel. *)
+    let h = max h (fy - pt - pb) and w = max w (fx - pl - pr) in
+    ([| groups * cg; h; w |], [| groups * kpg; cg; fy; fx |], stride, groups, pads)
+  in
+  let fc =
+    pair (int_range 1 24) (int_range 1 8) >|= fun (c, k) ->
+    ([| c; 1; 1 |], [| k; c; 1; 1 |], (1, 1), 1, (0, 0, 0, 0))
+  in
+  frequency [ (3, conv); (1, fc) ] >>= fun (ishape, wshape, stride, groups, pads) ->
+  pair bool int >|= fun (u7, seed) ->
+  let rng = Util.Rng.create seed in
+  let dt = if u7 then Tensor.Dtype.U7 else Tensor.Dtype.I8 in
+  {
+    tc_input = Tensor.random rng dt ishape;
+    tc_weights = Tensor.random rng Tensor.Dtype.Ternary wshape;
+    tc_stride = stride;
+    tc_groups = groups;
+    tc_pads = pads;
+  }
+
+let print_tap_case tc =
+  let pt, pb, pl, pr = tc.tc_pads and sy, sx = tc.tc_stride in
+  Printf.sprintf "groups=%d stride=(%d,%d) pads=(%d,%d,%d,%d)\ninput=%s\nweights=%s"
+    tc.tc_groups sy sx pt pb pl pr (Tensor.to_string tc.tc_input)
+    (Tensor.to_string tc.tc_weights)
+
+let pad_input input (pt, pb, pl, pr) =
+  let c = Tensor.dim input 0 and h = Tensor.dim input 1 and w = Tensor.dim input 2 in
+  let out = Tensor.create (Tensor.dtype input) [| c; pt + h + pb; pl + w + pr |] in
+  for ch = 0 to c - 1 do
+    for y = 0 to h - 1 do
+      for x = 0 to w - 1 do
+        Tensor.set out [| ch; pt + y; pl + x |] (Tensor.get input [| ch; y; x |])
+      done
+    done
+  done;
+  out
+
+let prop_ternary_taps =
+  Helpers.qtest ~count:300 "ternary tap kernel = Nn.Kernels.conv2d"
+    (QCheck.make ~print:print_tap_case gen_tap_case)
+    (fun tc ->
+      let taps =
+        Sim.Plan.ternary_conv2d ~input:tc.tc_input ~weights:tc.tc_weights
+          ~stride:tc.tc_stride ~groups:tc.tc_groups ~pads:tc.tc_pads
+      in
+      let params padding =
+        { Nn.Kernels.stride = tc.tc_stride; padding; groups = tc.tc_groups }
+      in
+      let reference =
+        Nn.Kernels.conv2d ~input:(pad_input tc.tc_input tc.tc_pads)
+          ~weights:tc.tc_weights (params (0, 0))
+      in
+      let pt, pb, pl, pr = tc.tc_pads in
+      Tensor.equal reference taps
+      && (pt <> pb || pl <> pr
+         || Tensor.equal taps
+              (Nn.Kernels.conv2d ~input:tc.tc_input ~weights:tc.tc_weights
+                 (params (pt, pl)))))
+
+(* All-zero weights leave no taps at all: every accumulator is 0. *)
+let test_ternary_taps_all_zero () =
+  let input = Tensor.random (Util.Rng.create 5) Tensor.Dtype.I8 [| 4; 5; 6 |] in
+  let weights = Tensor.create Tensor.Dtype.Ternary [| 6; 2; 3; 2 |] in
+  let out =
+    Sim.Plan.ternary_conv2d ~input ~weights ~stride:(2, 1) ~groups:2
+      ~pads:(1, 0, 0, 1)
+  in
+  Helpers.check_tensor "all-zero weights"
+    (Tensor.create Tensor.Dtype.I32 [| 6; 2; 6 |])
+    out
+
 (* Physical identity between plan and program is enforced, under a fault
    session too. *)
 let test_foreign_plan_rejected () =
@@ -271,6 +369,9 @@ let suites =
         Alcotest.test_case "stats" `Quick test_stats;
         Alcotest.test_case "arena reuse" `Quick test_arena_reuse;
         prop_chaos_fault_differential;
+        prop_ternary_taps;
+        Alcotest.test_case "ternary taps, all-zero weights" `Quick
+          test_ternary_taps_all_zero;
         Alcotest.test_case "foreign plan rejected" `Quick
           test_foreign_plan_rejected;
       ] )

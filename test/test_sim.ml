@@ -53,6 +53,45 @@ let test_mem_tensor_roundtrip () =
   Sim.Mem.write_tensor m 200 t32;
   Helpers.check_tensor "i32 roundtrip" t32 (Sim.Mem.read_tensor m 200 Dtype.I32 [| 7 |])
 
+(* The bulk [write_tensor] must fail exactly as a [write_elt] per element
+   would: same Fault message, same bytes written before the bad element,
+   same high-water mark (none for a bad first element). *)
+let test_mem_write_tensor_faults () =
+  let per_elt m off t =
+    let w = Dtype.sim_bytes (Tensor.dtype t) in
+    Tensor.iteri_flat (fun i v -> Sim.Mem.write_elt m (Tensor.dtype t) (off + (i * w)) v) t
+  in
+  let outcome write m off t =
+    let msg = try write m off t; "ok" with Sim.Mem.Fault msg -> msg in
+    (msg, Sim.Mem.high_water m, Bytes.to_string (Sim.Mem.image m))
+  in
+  (* Past the end, the whole-range check fires before any element is
+     written, so there is no per-element reference to compare with. *)
+  let both ?(per_element = true) label ~size off t ~msg ~hwm =
+    let bulk = outcome Sim.Mem.write_tensor (Sim.Mem.create "m" size) off t in
+    let m, h, image = bulk in
+    Alcotest.(check string) (label ^ ": message") msg m;
+    Alcotest.(check int) (label ^ ": high-water mark") hwm h;
+    if per_element then
+      Alcotest.(check bool) (label ^ ": same as write_elt") true
+        (bulk = outcome per_elt (Sim.Mem.create "m" size) off t)
+    else
+      Alcotest.(check string) (label ^ ": nothing written") (String.make size '\000') image
+  in
+  let t = Tensor.of_array Dtype.I16 [| 4 |] [| 1; -2; 3; -4 |] in
+  both "in range" ~size:16 4 t ~msg:"ok" ~hwm:12;
+  both ~per_element:false "past the end" ~size:16 10 t
+    ~msg:"m: access of 8 byte(s) at offset 10 outside [0, 16)" ~hwm:0;
+  (* Only a corrupted payload can hold an out-of-range value. *)
+  let bad = Tensor.of_array Dtype.I16 [| 4 |] [| 1; -2; 3; -4 |] in
+  (Tensor.unsafe_data bad).(2) <- 40000;
+  both "bad third element" ~size:16 4 bad
+    ~msg:"m: value 40000 out of range for i16 at offset 8" ~hwm:8;
+  let first = Tensor.of_array Dtype.I8 [| 3 |] [| 0; 0; 0 |] in
+  (Tensor.unsafe_data first).(0) <- -129;
+  both "bad first element" ~size:16 4 first
+    ~msg:"m: value -129 out of range for i8 at offset 4" ~hwm:0
+
 let test_counters () =
   let a = Sim.Counters.create () and b = Sim.Counters.create () in
   a.Sim.Counters.accel_compute <- 10;
@@ -348,6 +387,7 @@ let suites =
         Alcotest.test_case "mem fault" `Quick test_mem_fault;
         Alcotest.test_case "mem range check" `Quick test_mem_range_check;
         Alcotest.test_case "mem tensor roundtrip" `Quick test_mem_tensor_roundtrip;
+        Alcotest.test_case "mem write_tensor faults" `Quick test_mem_write_tensor_faults;
         Alcotest.test_case "counters" `Quick test_counters;
         Alcotest.test_case "conv untiled exact" `Quick test_conv_untiled_exact;
         Alcotest.test_case "conv tiled exact" `Quick test_conv_tiled_exact;

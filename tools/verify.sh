@@ -40,6 +40,20 @@ dune exec bench/main.exe -- mtserve-smoke
 echo "== bench smoke: simfast (plan fast path byte-identical to the oracle) =="
 dune exec bench/main.exe -- simfast-smoke
 
+# CLI help smoke: cmdliner reports malformed doc strings on stderr and
+# then renders them mangled, so check both streams of `run --help` for
+# the --inject example and for any cmdliner error.
+echo "== htvmc help smoke (--inject example renders) =="
+dune exec bin/htvmc.exe -- run --help=plain > _build/run-help.txt 2>&1
+if ! grep -q 'dma_in@every' _build/run-help.txt; then
+  echo "verify: run --help lost the dma_in@every example" >&2
+  exit 1
+fi
+if grep -q 'cmdliner error' _build/run-help.txt; then
+  echo "verify: run --help reports a cmdliner error" >&2
+  exit 1
+fi
+
 # Serving smoke: the per-request tally of `htvmc serve` is a pure
 # function of the seed — byte-identical at any fleet size and any host
 # job count. Diff a 1-worker and a 4-worker run of the same stream.
